@@ -77,7 +77,7 @@ func analyze(fac, rep []span, cal calib) *analysis {
 				}
 			}
 			net := cal.net(s, len(kidIv))
-			copyNet := s.copyBusy - int64(s.copies)*cal.empty
+			copyNet := cal.copyNet(s)
 			appendNet := s.appendBusy - int64(s.appends)*cal.empty
 			self := net - covered(kidIv) - copyNet - appendNet
 			layer := s.name.layer()

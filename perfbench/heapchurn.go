@@ -331,5 +331,5 @@ func arenaMetrics(res *result, ta *arenaStats, wr *kindStats, inserts int64) {
 	res.set("arena.copy_fit_r2", r2)
 	res.set("arena.grows", float64(ta.grows))
 	res.set("arena.grow_ms_total", float64(ta.growNS)/1e6)
-	res.note("arena.copies_fitted", float64(ta.copies), "count")
+	res.note("arena.copies_fitted", ta.fit.n, "count")
 }

@@ -73,6 +73,12 @@ func (a *timedArena) Bytes(start, size int64) []byte {
 	return a.Backend.Bytes(start, size)
 }
 
+// copyStride: one traced copy in copyStride is timed, the others run
+// bare and are only counted. Timing every copy would add two clock reads
+// to each, as much as a small copy costs, and the engine spans around
+// them would carry that much instrumentation to calibrate away.
+const copyStride = 8
+
 func (a *timedArena) Copy(dst, src, size int64) {
 	end := dst
 	if src > end {
@@ -83,13 +89,18 @@ func (a *timedArena) Copy(dst, src, size int64) {
 		a.Backend.Copy(dst, src, size)
 		return
 	}
+	a.st.copies++
+	a.st.bytes += size
+	if a.st.copies%copyStride != 0 {
+		a.Backend.Copy(dst, src, size)
+		a.t.mergeCopy(size, 0, false)
+		return
+	}
 	t0 := now()
 	a.Backend.Copy(dst, src, size)
 	d := now() - t0
-	a.st.copies++
-	a.st.bytes += size
 	a.st.fit.add(float64(size), float64(d-a.empty))
-	a.t.mergeCopy(size, d)
+	a.t.mergeCopy(size, d, true)
 }
 
 func (a *timedArena) Sync() error {

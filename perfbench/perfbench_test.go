@@ -70,16 +70,17 @@ func TestSelfTimeNestedAndAdjacentChildren(t *testing.T) {
 
 // TestAnalyzeAttributesLayers grafts a replayed engine call with a
 // nested arena child under a facade span and checks every layer's self
-// time, with the instrumentation costs zeroed.
+// time, with the instrumentation costs zeroed. Its one timed copy
+// stands for copyStride copies.
 func TestAnalyzeAttributesLayers(t *testing.T) {
 	fac := []span{{name: spFacadeWrite, op: 0, parent: -1, weight: 1, start: 0, end: 100}}
 	rep := []span{
-		{name: spEngineInsert, op: 0, parent: -1, start: 1000, end: 1050, copies: 2, copyBusy: 10},
+		{name: spEngineInsert, op: 0, parent: -1, start: 1000, end: 1050, copies: 9, timed: 1, copyBusy: 1},
 		{name: spArenaGrow, op: 0, parent: 0, start: 1010, end: 1020},
 		{name: spEngineWrite, op: 0, parent: -1, start: 1050, end: 1060},
 	}
 	a := analyze(fac, rep, calib{})
-	want := [numLayers]int64{layerFacade: 40, layerEngine: 40, layerArena: 20}
+	want := [numLayers]int64{layerFacade: 40, layerEngine: 42, layerArena: 18}
 	if a.self != want {
 		t.Fatalf("self times %v, want %v", a.self, want)
 	}

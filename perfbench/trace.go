@@ -68,7 +68,8 @@ const (
 
 // span is one timed call. Arena copies and WAL appends inside an engine
 // call are too many to keep one by one, so the engine span carries them
-// merged: their count, bytes and summed busy time.
+// merged: their count, bytes and summed busy time. Only one copy in
+// copyStride is timed (timedCopies of them); copyBusy sums those.
 type span struct {
 	name       spanName
 	flush      bool  // engine write call that did flush work
@@ -77,6 +78,7 @@ type span struct {
 	weight     int32 // logical ops a facade span stands for (a batch is many)
 	start, end int64
 	copies     int32
+	timed      int32 // copies that were timed
 	appends    int32
 	copyBytes  int64
 	copyBusy   int64
@@ -127,13 +129,17 @@ func (t *tracer) leaf(name spanName, start, end int64) {
 	}
 }
 
-// mergeCopy folds one arena copy into the innermost open span.
-func (t *tracer) mergeCopy(bytes, busy int64) {
+// mergeCopy folds one arena copy into the innermost open span; busy
+// counts only for a timed copy.
+func (t *tracer) mergeCopy(bytes, busy int64, timed bool) {
 	if t.cur >= 0 {
 		s := &t.spans[t.cur]
 		s.copies++
 		s.copyBytes += bytes
-		s.copyBusy += busy
+		if timed {
+			s.timed++
+			s.copyBusy += busy
+		}
 	}
 }
 
@@ -187,7 +193,7 @@ func calibrate() calib {
 		p := t.open(spEngineInsert)
 		for j := 0; j < 1000; j++ {
 			s := now()
-			t.mergeCopy(1, now()-s)
+			t.mergeCopy(1, now()-s, true)
 		}
 		t.close(p)
 		per = append(per, float64(t.spans[p].end-t.spans[p].start)/1000)
@@ -197,9 +203,15 @@ func calibrate() calib {
 
 // net is a span's duration with the instrumentation taken out: the empty
 // reading it carries itself and the recording cost of each instrumented
-// child (explicit child spans plus merged copies and appends).
+// child (explicit child spans plus timed copies and appends).
 func (c calib) net(s *span, kids int) int64 {
-	return s.end - s.start - c.empty - int64(kids+int(s.copies)+int(s.appends))*c.perChild
+	return s.end - s.start - c.empty - int64(kids+int(s.timed)+int(s.appends))*c.perChild
+}
+
+// copyNet estimates a span's arena copy time from its timed copies: each
+// net of the empty reading, scaled by the sampling stride.
+func (c calib) copyNet(s *span) int64 {
+	return (s.copyBusy - int64(s.timed)*c.empty) * copyStride
 }
 
 // writeSpans writes the spans as CSV: one line per span, merged leaves
@@ -210,13 +222,13 @@ func writeSpans(path string, sets ...[]span) error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
-	fmt.Fprintln(w, "set,index,name,op,parent,start_ns,end_ns,flush,copies,copy_bytes,copy_busy_ns,appends,append_busy_ns")
+	fmt.Fprintln(w, "set,index,name,op,parent,start_ns,end_ns,flush,copies,timed_copies,copy_bytes,timed_copy_busy_ns,appends,append_busy_ns")
 	for si, spans := range sets {
 		for i := range spans {
 			s := &spans[i]
-			fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d,%d,%t,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(w, "%d,%d,%s,%d,%d,%d,%d,%t,%d,%d,%d,%d,%d,%d\n",
 				si, i, s.name, s.op, s.parent, s.start, s.end, s.flush,
-				s.copies, s.copyBytes, s.copyBusy, s.appends, s.appendBusy)
+				s.copies, s.timed, s.copyBytes, s.copyBusy, s.appends, s.appendBusy)
 		}
 	}
 	if err := w.Flush(); err != nil {
