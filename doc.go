@@ -117,7 +117,11 @@
 // checkpoint plus a crc64-framed write-ahead log of every placement,
 // and OpenBlockStore recovers a directory by replaying the log to the
 // last durable checkpoint — truncating any torn tail — and verifying
-// each surviving block's checksum against the arena image:
+// each surviving block's checksum against the arena image. Since the
+// log already is the durable translation map, a durable checkpoint
+// costs its two syncs plus O(1) bookkeeping, and replay is O(records);
+// only in-memory stores keep a shadow map and per-cell owner stamps,
+// because their Recover reads them:
 //
 //	s, _ := realloc.NewBlockStore(realloc.BlockStoreDir(dir))
 //	s.Put("root", pageBytes)

@@ -16,7 +16,9 @@
 // durable.go) writes real media — a file-backed payload arena synced at
 // checkpoints plus a write-ahead log of every placement — and Recover
 // replays the log and verifies the surviving arena bytes instead of
-// reading any in-memory state.
+// reading any in-memory state. Durable stores therefore keep neither
+// the shadow map nor per-cell owner stamps: a durable checkpoint costs
+// its two syncs plus O(1) bookkeeping.
 package btl
 
 import (
@@ -62,9 +64,9 @@ type Store struct {
 	sums    map[addrspace.ID]uint64
 	backend arena.Kind
 
-	// durable is the translation map as of the last checkpoint: what a
-	// recovery would read back from disk. In durable mode it is kept for
-	// introspection, but Recover reads the real media instead.
+	// durable is the translation map as of the last checkpoint: what an
+	// in-memory Recover reads back. Durable stores leave it nil — their
+	// WAL already is that map, and Recover replays it from media.
 	durable map[string]blockMeta
 
 	crashed bool
@@ -196,7 +198,6 @@ func newShell(cfg Config) (*Store, error) {
 	s := &Store{
 		byName:  make(map[string]addrspace.ID),
 		names:   make(map[addrspace.ID]string),
-		durable: make(map[string]blockMeta),
 		sums:    make(map[addrspace.ID]uint64),
 		nextID:  1,
 		backend: cfg.Backend,
@@ -221,12 +222,15 @@ func newShell(cfg Config) (*Store, error) {
 }
 
 // attachCore wires a fresh reallocator over the given payload arena.
+// Only in-memory stores stamp cell owners: their Recover checks them.
+// Durable recovery verifies crc64 over the real arena bytes instead,
+// so a durable store's moves skip the per-byte stamps.
 func (s *Store) attachCore(data arena.Backend) error {
 	r, err := core.New(core.Config{
 		Epsilon:    s.epsilon,
 		Variant:    s.variant,
 		Recorder:   &ckptHook{store: s, next: s.tap},
-		TrackCells: true,
+		TrackCells: s.fs == nil,
 		Arena:      data,
 	})
 	if err != nil {
@@ -328,11 +332,15 @@ func (s *Store) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	ext, _ := s.realloc.Extent(id)
-	out := make([]byte, ext.Size)
-	if _, err := s.realloc.Read(id, out); err != nil {
+	raw, ok := s.realloc.Bytes(id)
+	if !ok {
+		// Bytes fails only where Read does; let Read name the cause
+		// (ErrNoData without a real backend).
+		_, err := s.realloc.Read(id, nil)
 		return nil, err
 	}
+	out := make([]byte, len(raw))
+	copy(out, raw)
 	return out, nil
 }
 
@@ -408,8 +416,11 @@ func (s *Store) Checkpoint() {
 	s.snapshot()
 }
 
-// snapshot captures the durable translation map at a checkpoint instant.
-// In durable mode it also runs the media protocol, in this exact order:
+// snapshot makes the translation map durable at a checkpoint instant.
+// An in-memory store copies it into the shadow map its Recover reads.
+// A durable store's WAL already holds every placement, so it runs only
+// the media protocol — two syncs, no walk of the live blocks — in this
+// exact order:
 //
 //  1. arena sync — every checkpointed extent's bytes become durable;
 //  2. checkpoint record appended to the WAL;
@@ -423,17 +434,20 @@ func (s *Store) Checkpoint() {
 // N+1 instant (even a torn prefix of one) still verifies at N.
 func (s *Store) snapshot() {
 	s.checkpoints++
-	durable := make(map[string]blockMeta, len(s.byName))
-	for name, id := range s.byName {
-		if ext, ok := s.realloc.Extent(id); ok {
-			meta := blockMeta{id: id, ext: ext}
-			if sum, ok := s.sums[id]; ok {
-				meta.sum, meta.hasSum = sum, true
+	if s.fs == nil {
+		durable := make(map[string]blockMeta, len(s.byName))
+		for name, id := range s.byName {
+			if ext, ok := s.realloc.Extent(id); ok {
+				meta := blockMeta{id: id, ext: ext}
+				if sum, ok := s.sums[id]; ok {
+					meta.sum, meta.hasSum = sum, true
+				}
+				durable[name] = meta
 			}
-			durable[name] = meta
 		}
+		s.durable = durable
+		return
 	}
-	s.durable = durable
 	if s.w == nil || s.ioErr != nil || s.rebuilding {
 		return
 	}

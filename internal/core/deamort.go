@@ -100,13 +100,9 @@ func (r *Reallocator) drainInsert(obj *object) error {
 	// placed so far; the layout becomes non-contiguous until the next
 	// flush rebuilds it.
 	if obj.class > r.maxRegionClass() {
-		start := r.space.MaxEnd()
-		if s := r.structEndCurrent(); s > start {
-			start = s
-		}
 		reg := &region{
 			class:    obj.class,
-			payStart: start,
+			payStart: r.parkPastAll(obj.size),
 			paySize:  obj.size,
 			payLive:  obj.size,
 			bufSize:  r.bufCap(obj.size),
@@ -136,10 +132,7 @@ func (r *Reallocator) drainInsert(obj *object) error {
 	if t.fill+obj.size > t.cap {
 		// Tail overflow: park the object past everything; finishFlush will
 		// trigger the next flush, which rebuilds the canonical layout.
-		pos = r.space.MaxEnd()
-		if s := r.structEndCurrent(); s > pos {
-			pos = s
-		}
+		pos = r.parkPastAll(obj.size)
 		r.dirty = true
 	}
 	if _, err := r.moveObj(obj, pos); err != nil {
@@ -151,6 +144,22 @@ func (r *Reallocator) drainInsert(obj *object) error {
 	t.items = append(t.items, bufItem{id: obj.id, size: obj.size, class: obj.class})
 	t.fill += obj.size
 	return nil
+}
+
+// parkPastAll returns where the drain parks an object of the given size
+// outside the structure: past every placed object and the structure's
+// end. That can lie beyond the log region's end, so the log end moves
+// past the parked object — later inserts logged by the same flush must
+// not land on it.
+func (r *Reallocator) parkPastAll(size int64) int64 {
+	pos := r.space.MaxEnd()
+	if s := r.structEndCurrent(); s > pos {
+		pos = s
+	}
+	if end := pos + size; end > r.log.end {
+		r.log.end = end
+	}
+	return pos
 }
 
 // drainDelete applies a logged delete. The object has been kept active

@@ -13,12 +13,13 @@
 // relocated it), delete, and checkpoint (the durability barrier of the
 // paper's model — the instant the translation map is durable).
 //
-// Replay rebuilds the translation table by applying records in order
-// and snapshotting it at each checkpoint marker; the result is the
-// table at the LAST durable checkpoint. Records after that marker are
-// the tail: work the store did but never made durable, reported for
-// observability and otherwise ignored — exactly the blocks the paper
-// says a crash loses.
+// Replay rebuilds the translation table by applying records in order;
+// the result is the table at the LAST durable checkpoint. Records after
+// that marker are the tail: work the store did but never made durable,
+// reported for observability and otherwise ignored — exactly the blocks
+// the paper says a crash loses. Replay keeps one live table plus an
+// undo log of the records since the latest marker and rolls the tail
+// back at the end, so it costs O(records), not O(checkpoints × live).
 //
 // The Writer buffers appends and group-fsyncs: WriteAt batches land in
 // the OS (or the fault model's volatile image) per Flush, and Sync is
@@ -357,6 +358,14 @@ type Replay struct {
 	CleanLen int64
 }
 
+// undoEntry is the table entry one replayed record replaced: the block
+// id held before it, or ok=false when the id was absent.
+type undoEntry struct {
+	id uint64
+	b  Block
+	ok bool
+}
+
 // Open scans the log front to back, validates every frame, truncates
 // the file at the first torn or corrupt frame, and returns the
 // translation table as of the last durable checkpoint.
@@ -374,8 +383,8 @@ func Open(f faultfs.File) (*Replay, error) {
 
 	rep := &Replay{}
 	cur := map[uint64]Block{}
+	var undo []undoEntry // one entry per record since the latest marker
 	var off int64
-scan:
 	for off < size {
 		rest := data[off:]
 		if len(rest) < headerSize {
@@ -393,43 +402,45 @@ scan:
 		if err != nil {
 			break // structurally invalid — treat as corruption, not fatal
 		}
-		switch r.Kind {
-		case KInsert:
-			cur[r.ID] = Block{Name: r.Name, Start: r.Start, Size: r.Size, Sum: r.Sum, HasSum: r.HasSum}
-		case KDelete:
-			if _, ok := cur[r.ID]; !ok {
-				break scan // semantic corruption: delete of an unknown id
-			}
-			delete(cur, r.ID)
-		case KMove:
-			b, ok := cur[r.ID]
-			if !ok {
-				break scan // semantic corruption: move of an unknown id
-			}
-			b.Start = r.Start
-			cur[r.ID] = b
-		case KSum:
-			b, ok := cur[r.ID]
-			if !ok {
-				break scan // semantic corruption: sum for an unknown id
-			}
-			b.Sum, b.HasSum = r.Sum, true
-			cur[r.ID] = b
-		case KCheckpoint:
-			snap := make(map[uint64]Block, len(cur))
-			for id, b := range cur {
-				snap[id] = b
-			}
-			rep.Blocks = snap
+		if r.Kind == KCheckpoint {
+			undo = undo[:0]
 			rep.Seq = r.Seq
 			rep.CkptID = r.ID
 			rep.CkptEnd = off + headerSize + plen
 			rep.Checkpoints++
 			rep.Tail = -1 // reset below the per-frame increment
+		} else {
+			b, ok := cur[r.ID]
+			if !ok && r.Kind != KInsert {
+				break // semantic corruption: delete, move or sum of an unknown id
+			}
+			undo = append(undo, undoEntry{id: r.ID, b: b, ok: ok})
+			switch r.Kind {
+			case KInsert:
+				cur[r.ID] = Block{Name: r.Name, Start: r.Start, Size: r.Size, Sum: r.Sum, HasSum: r.HasSum}
+			case KDelete:
+				delete(cur, r.ID)
+			case KMove:
+				b.Start = r.Start
+				cur[r.ID] = b
+			case KSum:
+				b.Sum, b.HasSum = r.Sum, true
+				cur[r.ID] = b
+			}
 		}
 		rep.Frames++
 		rep.Tail++
 		off += headerSize + plen
+	}
+	if rep.Checkpoints > 0 {
+		for i := len(undo) - 1; i >= 0; i-- {
+			if u := undo[i]; u.ok {
+				cur[u.id] = u.b
+			} else {
+				delete(cur, u.id)
+			}
+		}
+		rep.Blocks = cur
 	}
 	rep.CleanLen = off
 	rep.Truncated = size - off
