@@ -330,11 +330,15 @@
 //
 // Atomic flushes — the hot path that relocates nearly every object of a
 // suffix of the structure — execute as one batched move plan: the
-// schedule is validated once, applied through dense per-object scratch,
-// and the address-ordered index (a two-level blocked structure) rebuilds
-// only its touched suffix in a single merge pass, O(n + m log m)
-// bookkeeping for a flush of m objects instead of the O(m·n) a per-move
-// sorted-index update pays. A deamortized flush spreads one schedule
+// schedule names each object by its rank in the flushed suffix of the
+// address-ordered index (a two-level blocked structure), whose entries
+// carry a tag naming the engine's record, so planning and validation
+// resolve objects by position and never hash an id; the plan is applied
+// through dense per-rank scratch and the index rebuilds only that suffix
+// in a single merge pass. The schedule supplies its final order, so the
+// bookkeeping is O(n + m) for a flush of m objects instead of the O(m·n)
+// a per-move sorted-index update pays; the id map is written only to
+// record applied moves. A deamortized flush spreads one schedule
 // across many requests as quota-bounded chunks; it runs through a
 // resumable executor session that validates the plan once and reconciles
 // the index incrementally per chunk — a chunk of k moves pays
@@ -348,7 +352,7 @@
 //
 // Per-operation cost for n live objects and a flush suffix of m objects
 // (B is the constant index block size): a buffered insert or delete is
-// O(log n + B); a flush is O(n + m log m) bookkeeping amortized over the
+// O(log n + B); a flush is O(n + m) bookkeeping amortized over the
 // Θ(ε·V) volume of requests that filled the buffers; a deamortized
 // request advances an active flush by a volume-bounded chunk at
 // O(k + B + log n) for its k moves (O(k·(log n + B)) with an observer). On one core at 10^6 live cells the

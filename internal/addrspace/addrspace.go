@@ -87,10 +87,13 @@ func RAM() Options { return Options{} }
 // nonoverlapping moves plus the checkpoint rule.
 func Durable() Options { return Options{StrictNonOverlap: true, CheckpointRule: true} }
 
-// placement pairs an object with its extent, kept sorted by Start.
+// placement is one index entry: an object, its extent, and the opaque tag
+// its owner attached when placing it. Entries are kept sorted by Start;
+// moves carry the tag along.
 type placement struct {
 	id  ID
 	ext Extent
+	tag int32
 }
 
 // Space is a simulated address space. The zero value is not usable; call
@@ -162,13 +165,22 @@ func (s *Space) Extent(id ID) (Extent, bool) {
 
 // ForEach calls fn for every live object in address order.
 func (s *Space) ForEach(fn func(id ID, ext Extent)) {
-	s.byStart.forEach(fn)
+	s.byStart.forEach(func(p placement) { fn(p.id, p.ext) })
 }
 
-// ForEachFrom calls fn for every live object whose start is >= start, in
-// address order. Flush planning uses it to walk only the flushed suffix.
-func (s *Space) ForEachFrom(start int64, fn func(id ID, ext Extent)) {
-	s.byStart.forEachFrom(s.byStart.lowerBound(start), fn)
+// ForEachTagged is ForEach also reporting each object's tag.
+func (s *Space) ForEachTagged(fn func(id ID, ext Extent, tag int32)) {
+	s.byStart.forEach(func(p placement) { fn(p.id, p.ext, p.tag) })
+}
+
+// SuffixTags appends to dst the tags of the live objects starting at or
+// after from, in address order, and returns the extended slice. The i-th
+// appended tag belongs to the object of rank i in that suffix: the
+// Relocation.Ref a move plan applied against from names it by. Flush
+// planning walks the flushed suffix this way, resolving its own records
+// by tag instead of looking up ids.
+func (s *Space) SuffixTags(from int64, dst []int32) []int32 {
+	return s.byStart.appendTagsFrom(s.byStart.lowerBound(from), dst)
 }
 
 // overlapAny reports whether ext overlaps any live object other than skip
@@ -224,23 +236,21 @@ func (s *Space) checkTarget(ext Extent, id ID, moving bool, selfExt Extent) erro
 	return nil
 }
 
-// insertPlacement adds (id, ext) into the sorted index.
-func (s *Space) insertPlacement(id ID, ext Extent) {
-	s.byStart.insert(placement{id: id, ext: ext})
-}
-
 // removePlacement deletes the placement for id at extent ext. The exact
 // lookup panics on index/map desync (see pindex.find).
 func (s *Space) removePlacement(id ID, ext Extent) {
 	s.byStart.removeAt(s.byStart.find(id, ext))
 }
 
-// relocatePlacement moves id from extent old to extent ext. Single moves
-// outside flush plans (log drains, defragmentation) take this path;
-// flushes go through ApplyMoves.
+// relocatePlacement moves id's entry, tag included, from extent old to
+// extent ext. Single moves outside flush plans (log drains,
+// defragmentation) take this path; flushes go through ApplyMoves.
 func (s *Space) relocatePlacement(id ID, old, ext Extent) {
-	s.byStart.removeAt(s.byStart.find(id, old))
-	s.byStart.insert(placement{id: id, ext: ext})
+	at := s.byStart.find(id, old)
+	p := s.byStart.at(at)
+	s.byStart.removeAt(at)
+	p.ext = ext
+	s.byStart.insert(p)
 }
 
 // stampCells writes id into every cell of ext (cell-tracking mode).
@@ -258,9 +268,14 @@ func (s *Space) stampCells(ext Extent, id ID) {
 	}
 }
 
-// Place writes a new object at ext. It is the initial allocation; the
-// checkpoint rule applies to it exactly as to moves.
-func (s *Space) Place(id ID, ext Extent) error {
+// Place writes a new object at ext with tag 0.
+func (s *Space) Place(id ID, ext Extent) error { return s.PlaceTagged(id, ext, 0) }
+
+// PlaceTagged writes a new object at ext. It is the initial allocation;
+// the checkpoint rule applies to it exactly as to moves. tag is opaque to
+// the substrate: the object's index entry carries it through every move
+// until the object is removed (see SuffixTags).
+func (s *Space) PlaceTagged(id ID, ext Extent, tag int32) error {
 	if id == 0 {
 		return fmt.Errorf("addrspace: id must be non-zero")
 	}
@@ -271,7 +286,7 @@ func (s *Space) Place(id ID, ext Extent) error {
 		return err
 	}
 	s.objects[id] = ext
-	s.insertPlacement(id, ext)
+	s.byStart.insert(placement{id: id, ext: ext, tag: tag})
 	s.stampCells(ext, id)
 	if s.data != nil {
 		// Make the extent addressable; the payload content is whatever
@@ -391,8 +406,7 @@ func (s *Space) Verify() error {
 	var verr error
 	var prev placement
 	havePrev := false
-	s.byStart.forEach(func(id ID, ext Extent) {
-		p := placement{id: id, ext: ext}
+	s.byStart.forEach(func(p placement) {
 		if verr != nil {
 			return
 		}

@@ -10,25 +10,32 @@ import (
 // A buffer flush relocates nearly every object of the flushed suffix, and
 // executing it through Move would pay a sorted-slice rotation per object —
 // O(m·n) bookkeeping for an O(m)-volume flush. ApplyMoves instead validates
-// the whole plan once, tracks the footprint trajectory with lazy max-heaps,
-// and rebuilds the touched slice of the byStart index in a single merge
-// pass: O(n + m log m) total, while producing byte-for-byte the same
-// observable sequence (per-move footprints, checkpoints, blocked-write and
-// move counters, cell stamps) as the per-move path. The per-move path
+// the whole plan once and rebuilds the index suffix the plan was built
+// against in a single merge pass: for a suffix of n entries and a plan of
+// m steps, O(n + m) when the caller supplies the final order (O(n + m log
+// m) when the executor must sort it), plus a lazy max-heap of footprints
+// only when an observer wants them per move. It produces byte-for-byte the
+// same observable sequence (per-move footprints, checkpoints, blocked-write
+// and move counters, cell stamps) as the per-move path. The per-move path
 // remains the reference semantics; the differential tests in core and the
 // cross-check tests here drive both and assert equality.
 //
-// All per-object working state is held in dense slices indexed by the
-// caller-assigned Relocation.Ref — flush schedules know every object's
-// position in their payload/buffered lists, so the executor runs without
-// hashing, and its scratch is reused across calls: steady-state flushes
-// allocate nothing.
+// A plan is bound to the index suffix from an address the caller names
+// (from): Relocation.Ref is the object's rank in that suffix, so the
+// executor reads each object's current entry by position — no id lookups
+// — and keeps all per-object working state in dense slices indexed by
+// rank. Rank order is address order, which lets the merge skip net-moved
+// entries and the footprint cursor step over moved ones without sorting.
+// The scratch is reused across calls: steady-state flushes allocate
+// nothing.
 
 // Relocation is one step of a move plan: relocate ID so that it starts at
-// To. A plan may relocate the same object several times (flush schedules
-// park objects in the overflow segment before placing them); every step of
-// the same object must carry the same Ref, a caller-assigned dense handle
-// in [0, maxRef) unique to that object within the plan.
+// To. Ref names the object by its rank among the live objects starting at
+// or after the plan's from address, in address order (the order
+// SuffixTags lists them in); binding checks that the entry at that rank is
+// ID. A plan may relocate the same object several times (flush schedules
+// park objects in the overflow segment before placing them); every step
+// of the same object carries the same Ref.
 type Relocation struct {
 	ID  ID
 	To  int64
@@ -48,25 +55,20 @@ type MoveResult struct {
 	Checkpointed bool
 }
 
-// batchState holds the dense scratch ApplyMoves reuses across calls.
-// Slices indexed by Ref are cleared lazily via the touched list.
+// batchState holds the dense scratch ApplyMoves reuses across calls. The
+// per-rank slices are indexed by Relocation.Ref and cleared lazily via
+// the touched list.
 type batchState struct {
-	ids       []ID // 0 = ref unbound
-	initStart []int64
-	curStart  []int64
-	size      []int64
-	seen      []bool
-	everMoved []bool
-	touched   []int32
-	oldSteps  []int64 // pre-step start per consumed plan entry
-	finals    []placement
-	oldStarts []int64     // pre-batch starts of net-moved objects, sorted
-	newEnds   []endEntry  // max-heap: current ends of moved objects (lazy)
-	goneTops  []int64     // max-heap: pre-batch starts of moved objects
-	suffix    []placement // flattened index suffix from the cut point
-	merged    []placement
+	suffix   []placement // the index suffix the plan is bound to, by rank
+	curStart []int64     // per rank: simulated, then applied, start
+	mark     []uint8     // per rank: markBound | markListed | markMoved
+	touched  []int32     // bound ranks, in first-use order
+	oldSteps []int64     // pre-step start per consumed plan entry
+	finals   []placement
+	newEnds  []endEntry // max-heap: current ends of moved objects (lazy)
+	merged   []placement
 
-	// Session chunk scratch (see MoveSession.Advance): per-ref chunk
+	// Session chunk scratch (see MoveSession.Advance): per-rank chunk
 	// epochs and entry positions at chunk start, plus the deletion and
 	// insertion lists of the chunk-end index reconciliation.
 	chunkEpoch []int32
@@ -76,56 +78,61 @@ type batchState struct {
 	chunkIns   []placement
 }
 
+// Per-rank marks.
+const (
+	markBound  uint8 = 1 << iota // a consumed plan entry names this rank
+	markListed                   // the final order has listed this rank
+	markMoved                    // executeBulk has applied a move of it
+)
+
 // endEntry is one newEnds element: a (possibly stale) object end.
 type endEntry struct {
 	ref int32
 	end int64
 }
 
-func (s *Space) batchState(maxRef int) *batchState {
+// batchState returns the reusable scratch, cleared and bound to the index
+// suffix from cut.
+func (s *Space) batchState(cut pos) *batchState {
 	if s.batch == nil {
 		s.batch = &batchState{}
 	}
 	b := s.batch
 	for _, ref := range b.touched {
-		b.ids[ref] = 0
-		b.seen[ref] = false
-		b.everMoved[ref] = false
+		b.mark[ref] = 0
 		b.chunkEpoch[ref] = 0
 	}
 	b.touched = b.touched[:0]
-	if len(b.ids) < maxRef {
-		b.ids = slices.Grow(b.ids[:0], maxRef)[:maxRef]
-		b.initStart = slices.Grow(b.initStart[:0], maxRef)[:maxRef]
-		b.curStart = slices.Grow(b.curStart[:0], maxRef)[:maxRef]
-		b.size = slices.Grow(b.size[:0], maxRef)[:maxRef]
-		b.seen = slices.Grow(b.seen[:0], maxRef)[:maxRef]
-		b.everMoved = slices.Grow(b.everMoved[:0], maxRef)[:maxRef]
-		b.chunkEpoch = slices.Grow(b.chunkEpoch[:0], maxRef)[:maxRef]
-		b.chunkFrom = slices.Grow(b.chunkFrom[:0], maxRef)[:maxRef]
+	b.suffix = s.byStart.flattenFrom(cut, b.suffix[:0])
+	if n := len(b.suffix); len(b.mark) < n {
+		b.curStart = slices.Grow(b.curStart[:0], n)[:n]
+		b.mark = slices.Grow(b.mark[:0], n)[:n]
+		b.chunkEpoch = slices.Grow(b.chunkEpoch[:0], n)[:n]
+		b.chunkFrom = slices.Grow(b.chunkFrom[:0], n)[:n]
 	}
 	b.oldSteps = b.oldSteps[:0]
 	b.finals = b.finals[:0]
-	b.oldStarts = b.oldStarts[:0]
 	b.newEnds = b.newEnds[:0]
-	b.goneTops = b.goneTops[:0]
 	return b
 }
 
 // ApplyMoves executes plan in order, stopping early once the applied
 // (non-no-op) volume reaches budget: entries keep being consumed while the
 // volume applied so far is below budget, exactly mirroring a quota-driven
-// loop over Move. maxRef bounds the plan's Ref handles. It returns how
-// many plan entries were consumed and the volume they moved.
+// loop over Move. The plan is bound to the index suffix from address from
+// as it stands at the call: every Ref is a rank in that suffix (so the
+// rest of a partially applied plan must be rebound before it resumes) and
+// every target lies at or beyond from. It returns how many plan entries
+// were consumed and the volume they moved.
 //
 // finalOrder, if non-nil, lists refs in ascending order of their final
 // position, letting the index rebuild skip its sort; refs that never
-// appear in the consumed prefix are ignored, so a plan resumed mid-way can
-// keep passing the full plan's ordering as long as it runs to the end.
-// Pass nil when a budget may cut the plan short of its final layout.
+// appear in the consumed prefix are ignored. Pass nil when a budget may
+// cut the plan short of its final layout.
 //
-// The whole consumed prefix is validated before anything mutates: unknown
-// objects, ref misuse, bad targets, strict-rule self-overlaps, and any
+// The whole consumed prefix is validated before anything mutates: refs
+// out of range, refs naming a different object (ErrUnknownObject),
+// targets below from (ErrBadExtent), strict-rule self-overlaps, and any
 // overlap in the resulting layout (moved targets against each other and
 // against unmoved objects) fail the call with the Space untouched.
 // Intermediate layouts are the caller's responsibility — flush schedules
@@ -147,14 +154,14 @@ func (s *Space) batchState(maxRef int) *batchState {
 // Quota-bounded flush plans that span many requests should use BeginMoves
 // instead: a session validates once and advances chunk by chunk without
 // re-flattening the index suffix per chunk.
-func (s *Space) ApplyMoves(plan []Relocation, maxRef int, finalOrder []int32, budget int64, emit func(MoveResult)) (consumed int, volume int64, err error) {
+func (s *Space) ApplyMoves(plan []Relocation, from int64, finalOrder []int32, budget int64, emit func(MoveResult)) (consumed int, volume int64, err error) {
 	if len(plan) == 0 || budget <= 0 {
 		return 0, 0, nil
 	}
 	if s.session != nil {
 		return 0, 0, fmt.Errorf("addrspace: ApplyMoves while a move session is active")
 	}
-	b, consumed, cutPos, _, err := s.simulatePlan(plan, maxRef, finalOrder, budget)
+	b, consumed, cutPos, _, err := s.simulatePlan(plan, from, finalOrder, budget)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -163,46 +170,46 @@ func (s *Space) ApplyMoves(plan []Relocation, maxRef int, finalOrder []int32, bu
 }
 
 // simulatePlan is the validation pass shared by ApplyMoves and BeginMoves:
-// it simulates the prefix of plan that a quota of budget volume consumes,
-// builds the net final layout (b.finals) and the merged index suffix
-// (b.merged) from the cut position on, and validates the whole result —
-// ref misuse, bad targets, strict-rule self-overlaps, and any overlap in
-// the final layout fail the call with the Space untouched. It returns the
-// populated scratch, the number of consumed plan entries, the index cut
-// position, and the volume the consumed prefix applies.
-func (s *Space) simulatePlan(plan []Relocation, maxRef int, finalOrder []int32, budget int64) (b *batchState, consumed int, cutPos pos, volume int64, err error) {
-	b = s.batchState(maxRef)
+// it binds plan to the index suffix from address from, simulates the
+// prefix of plan that a quota of budget volume consumes, builds the net
+// final layout (b.finals) and the merged index suffix (b.merged), and
+// validates the whole result — refs, bad targets, strict-rule
+// self-overlaps, and any overlap in the final layout fail the call with
+// the Space untouched. It returns the populated scratch, the number of
+// consumed plan entries, the index cut position, and the volume the
+// consumed prefix applies.
+func (s *Space) simulatePlan(plan []Relocation, from int64, finalOrder []int32, budget int64) (b *batchState, consumed int, cutPos pos, volume int64, err error) {
+	cutPos = s.byStart.lowerBound(from)
+	b = s.batchState(cutPos)
+	n := int32(len(b.suffix))
+	base := max(from, 0)
 
-	// Pass 1: simulate and validate the consumed prefix.
+	// Pass 1: bind, simulate, and validate the consumed prefix.
 	var vol int64
 	for _, mv := range plan {
 		if vol >= budget {
 			break
 		}
-		if mv.Ref < 0 || int(mv.Ref) >= maxRef {
-			return nil, 0, pos{}, 0, fmt.Errorf("addrspace: relocation ref %d out of range [0,%d)", mv.Ref, maxRef)
+		if mv.Ref < 0 || mv.Ref >= n {
+			return nil, 0, pos{}, 0, fmt.Errorf("addrspace: relocation ref %d out of range [0,%d)", mv.Ref, n)
 		}
-		if b.ids[mv.Ref] == 0 {
-			ext, ok := s.objects[mv.ID]
-			if !ok {
-				return nil, 0, pos{}, 0, fmt.Errorf("%w: %d", ErrUnknownObject, mv.ID)
-			}
-			b.ids[mv.Ref] = mv.ID
-			b.initStart[mv.Ref] = ext.Start
-			b.curStart[mv.Ref] = ext.Start
-			b.size[mv.Ref] = ext.Size
+		p := &b.suffix[mv.Ref]
+		if p.id != mv.ID {
+			return nil, 0, pos{}, 0, fmt.Errorf("%w: %d (ref %d names object %d)", ErrUnknownObject, mv.ID, mv.Ref, p.id)
+		}
+		if b.mark[mv.Ref]&markBound == 0 {
+			b.mark[mv.Ref] |= markBound
+			b.curStart[mv.Ref] = p.ext.Start
 			b.touched = append(b.touched, mv.Ref)
-		} else if b.ids[mv.Ref] != mv.ID {
-			return nil, 0, pos{}, 0, fmt.Errorf("addrspace: ref %d bound to object %d, reused for %d", mv.Ref, b.ids[mv.Ref], mv.ID)
 		}
-		old := Extent{Start: b.curStart[mv.Ref], Size: b.size[mv.Ref]}
+		old := Extent{Start: b.curStart[mv.Ref], Size: p.ext.Size}
 		b.oldSteps = append(b.oldSteps, old.Start)
 		if mv.To == old.Start {
 			continue
 		}
 		target := Extent{Start: mv.To, Size: old.Size}
-		if target.Start < 0 {
-			return nil, 0, pos{}, 0, fmt.Errorf("%w: %v", ErrBadExtent, target)
+		if target.Start < base {
+			return nil, 0, pos{}, 0, fmt.Errorf("%w: %v below the plan's base %d", ErrBadExtent, target, base)
 		}
 		if s.opts.StrictNonOverlap && target.Overlaps(old) {
 			return nil, 0, pos{}, 0, fmt.Errorf("%w: %v vs %v", ErrSelfOverlap, target, old)
@@ -219,84 +226,58 @@ func (s *Space) simulatePlan(plan []Relocation, maxRef int, finalOrder []int32, 
 		prevStart := int64(-1)
 		matched := 0
 		for _, ref := range finalOrder {
-			if int(ref) >= maxRef || b.ids[ref] == 0 {
+			if ref < 0 || ref >= n || b.mark[ref]&markBound == 0 {
 				continue // not part of the consumed prefix
 			}
-			if b.seen[ref] {
+			if b.mark[ref]&markListed != 0 {
 				return nil, 0, pos{}, 0, fmt.Errorf("addrspace: ref %d listed twice in final order", ref)
 			}
-			b.seen[ref] = true
+			b.mark[ref] |= markListed
 			matched++
-			if b.curStart[ref] == b.initStart[ref] {
+			f := b.suffix[ref]
+			if b.curStart[ref] == f.ext.Start {
 				continue
 			}
 			if b.curStart[ref] < prevStart {
 				return nil, 0, pos{}, 0, fmt.Errorf("addrspace: final order not sorted at ref %d", ref)
 			}
 			prevStart = b.curStart[ref]
-			b.finals = append(b.finals, placement{id: b.ids[ref], ext: Extent{Start: b.curStart[ref], Size: b.size[ref]}})
-			b.oldStarts = append(b.oldStarts, b.initStart[ref])
+			f.ext.Start = b.curStart[ref]
+			b.finals = append(b.finals, f)
 		}
 		if matched != len(b.touched) {
 			return nil, 0, pos{}, 0, fmt.Errorf("addrspace: final order covers %d of %d plan objects", matched, len(b.touched))
 		}
 	} else {
 		for _, ref := range b.touched {
-			if b.curStart[ref] == b.initStart[ref] {
+			f := b.suffix[ref]
+			if b.curStart[ref] == f.ext.Start {
 				continue
 			}
-			b.finals = append(b.finals, placement{id: b.ids[ref], ext: Extent{Start: b.curStart[ref], Size: b.size[ref]}})
-			b.oldStarts = append(b.oldStarts, b.initStart[ref])
+			f.ext.Start = b.curStart[ref]
+			b.finals = append(b.finals, f)
 		}
-		slices.SortFunc(b.finals, func(a, c placement) int {
-			switch {
-			case a.ext.Start < c.ext.Start:
-				return -1
-			case a.ext.Start > c.ext.Start:
-				return 1
-			default:
-				return 0
-			}
-		})
-	}
-	if !slices.IsSorted(b.oldStarts) {
-		slices.Sort(b.oldStarts)
+		slices.SortFunc(b.finals, byStart)
 	}
 
 	// Validate the resulting layout and build the merged index suffix in
-	// one pass. Flush plans only relocate within the flushed suffix (plus
-	// the overflow segment past it), so every index entry strictly left of
-	// the lowest touched address survives untouched: the index suffix from
-	// the cut point is flattened once, and its entries either keep their
-	// place (skipped via the sorted pre-batch starts — live starts are
-	// unique) or come from the sorted finals. A class-local flush therefore
-	// rebuilds only its own region's slice of the index.
-	cutPos = s.byStart.end()
-	if len(b.finals) > 0 {
-		minAffected := b.finals[0].ext.Start
-		if b.oldStarts[0] < minAffected {
-			minAffected = b.oldStarts[0]
-		}
-		cutPos = s.byStart.lowerBound(minAffected)
-	}
-	b.suffix = s.byStart.flattenFrom(cutPos, b.suffix[:0])
+	// one pass. Every index entry left of the cut survives untouched (plan
+	// objects are suffix ranks and targets lie at or beyond from); suffix
+	// entries either keep their place or, when net-moved, give way to
+	// their final placement from the sorted finals.
 	var prev placement
 	havePrev := false
 	if pp, ok := s.byStart.prev(cutPos); ok {
 		prev, havePrev = s.byStart.at(pp), true
 	}
 	b.merged = b.merged[:0]
-	i, j, p := 0, 0, 0
+	i, j := 0, 0
 	for i < len(b.suffix) || j < len(b.finals) {
 		var next placement
-		if i < len(b.suffix) {
-			if p < len(b.oldStarts) && b.suffix[i].ext.Start == b.oldStarts[p] {
-				i++
-				p++
-				continue
-			}
-		}
 		switch {
+		case i < len(b.suffix) && b.mark[i]&markBound != 0 && b.curStart[i] != b.suffix[i].ext.Start:
+			i++ // net-moved: its final placement comes from finals
+			continue
 		case i >= len(b.suffix):
 			next = b.finals[j]
 			j++
@@ -317,17 +298,29 @@ func (s *Space) simulatePlan(plan []Relocation, maxRef int, finalOrder []int32, 
 	return b, consumed, cutPos, vol, nil
 }
 
+// byStart orders placements by start address.
+func byStart(a, c placement) int {
+	switch {
+	case a.ext.Start < c.ext.Start:
+		return -1
+	case a.ext.Start > c.ext.Start:
+		return 1
+	default:
+		return 0
+	}
+}
+
 // executeBulk is pass 2 of a bulk batch: it applies plan[:consumed] using
 // the scratch simulatePlan populated, then commits the object map and
 // splices the pre-merged suffix into the index. Nothing in it can fail, so
 // counters, cell stamps, the object map, and the freed set evolve exactly
 // as the per-move path would evolve them. The footprint after each
-// relocation is the largest of three sources: the rightmost index entry
+// relocation is the larger of two sources: the rightmost suffix entry
 // whose object has not moved yet (index ends are sorted, so a
-// right-to-left cursor suffices, stepped past moved entries via a heap of
-// their pre-batch starts), and the max valid entry of a heap fed by every
-// applied move. The object map is synced lazily: eagerly only when a
-// checkpoint exposes positions to observers, in bulk otherwise.
+// right-to-left cursor suffices, stepped over moved ranks), and the max
+// valid entry of a heap fed by every applied move. The object map is
+// synced lazily: eagerly only when a checkpoint exposes positions to
+// observers, in bulk otherwise.
 func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutPos pos, emit func(MoveResult)) (volume int64) {
 	// The last untouched entry has the largest end among them; only it can
 	// reach into the merged zone, and it is the footprint floor once every
@@ -337,7 +330,7 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 		belowEnd = s.byStart.at(pp).ext.End()
 	}
 	for _, ref := range b.touched {
-		b.curStart[ref] = b.initStart[ref]
+		b.curStart[ref] = b.suffix[ref].ext.Start
 	}
 	top := len(b.suffix) - 1
 	foot := s.MaxEnd()
@@ -349,7 +342,7 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 		if mv.To == oldStart {
 			continue
 		}
-		size := b.size[mv.Ref]
+		size := b.suffix[mv.Ref].ext.Size
 		target := Extent{Start: mv.To, Size: size}
 		checkpointed := false
 		if s.opts.CheckpointRule && s.freed.intersects(target) {
@@ -383,13 +376,11 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 			// this move's bytes — the first write AFTER the checkpoint —
 			// clobbering space the previous checkpoint still references.
 			pre := foot
-			if !b.everMoved[mv.Ref] {
+			if b.mark[mv.Ref]&markMoved == 0 {
 				// First applied move of this object: its index entry goes
 				// stale, so its pre-batch end leaves the cursor's world.
-				b.everMoved[mv.Ref] = true
-				pushMax(&b.goneTops, b.initStart[mv.Ref])
-				for top >= 0 && len(b.goneTops) > 0 && b.goneTops[0] == b.suffix[top].ext.Start {
-					popMax(&b.goneTops)
+				b.mark[mv.Ref] |= markMoved
+				for top >= 0 && b.mark[top]&markMoved != 0 {
 					top--
 				}
 			}
@@ -421,7 +412,8 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 	// otherwise only the net-moved ones need their final extents written.
 	if midSync {
 		for _, ref := range b.touched {
-			s.objects[b.ids[ref]] = Extent{Start: b.curStart[ref], Size: b.size[ref]}
+			p := b.suffix[ref]
+			s.objects[p.id] = Extent{Start: b.curStart[ref], Size: p.ext.Size}
 		}
 	} else {
 		for _, f := range b.finals {
@@ -441,7 +433,7 @@ func (b *batchState) syncObjects(s *Space, plan []Relocation, from, upto int) {
 		if mv.To == b.oldSteps[i] {
 			continue
 		}
-		s.objects[mv.ID] = Extent{Start: mv.To, Size: b.size[mv.Ref]}
+		s.objects[mv.ID] = Extent{Start: mv.To, Size: b.suffix[mv.Ref].ext.Size}
 	}
 }
 
@@ -452,7 +444,7 @@ func (b *batchState) syncObjects(s *Space, plan []Relocation, from, upto int) {
 func (b *batchState) topEnd() int64 {
 	for len(b.newEnds) > 0 {
 		t := b.newEnds[0]
-		if b.curStart[t.ref]+b.size[t.ref] == t.end {
+		if b.curStart[t.ref]+b.suffix[t.ref].ext.Size == t.end {
 			return t.end
 		}
 		n := len(b.newEnds) - 1
@@ -497,44 +489,4 @@ func siftDownEnd(h []endEntry) {
 		h[i], h[big] = h[big], h[i]
 		i = big
 	}
-}
-
-// pushMax pushes v onto a max-heap of int64s.
-func pushMax(h *[]int64, v int64) {
-	hh := append(*h, v)
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if hh[parent] >= hh[i] {
-			break
-		}
-		hh[parent], hh[i] = hh[i], hh[parent]
-		i = parent
-	}
-	*h = hh
-}
-
-// popMax removes the maximum of a max-heap of int64s.
-func popMax(h *[]int64) {
-	hh := *h
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	hh = hh[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && hh[l] > hh[big] {
-			big = l
-		}
-		if r < n && hh[r] > hh[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		hh[i], hh[big] = hh[big], hh[i]
-		i = big
-	}
-	*h = hh
 }

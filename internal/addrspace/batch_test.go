@@ -3,6 +3,7 @@ package addrspace
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -19,6 +20,25 @@ func spacePair(opts Options, build func(*Space) error) (*Space, *Space, error) {
 		return nil, nil, err
 	}
 	return s, m, build(m)
+}
+
+// ranked binds plan to s's index suffix from address from: it sets each
+// relocation's Ref to its object's rank among the live objects starting
+// at or after from — the handle ApplyMoves and BeginMoves expect.
+// Relocations of objects outside that suffix keep their Ref.
+func ranked(s *Space, from int64, plan []Relocation) []Relocation {
+	rank := map[ID]int32{}
+	s.ForEach(func(id ID, ext Extent) {
+		if ext.Start >= from {
+			rank[id] = int32(len(rank))
+		}
+	})
+	for i := range plan {
+		if r, ok := rank[plan[i].ID]; ok {
+			plan[i].Ref = r
+		}
+	}
+	return plan
 }
 
 // applySerial replays a plan through Move with the per-move blocking
@@ -95,31 +115,26 @@ func TestApplyMovesMatchesSerial(t *testing.T) {
 
 			// Plan: evacuate every survivor far right, then pack leftward
 			// from zero — the shape of a real flush, self-overlap free.
-			// Refs are dense in index order, repeated across both passes.
 			var plan []Relocation
 			far := s.MaxEnd() + s.Volume()
 			off := far
-			ref := int32(0)
 			s.ForEach(func(id ID, ext Extent) {
-				plan = append(plan, Relocation{ID: id, To: off, Ref: ref})
+				plan = append(plan, Relocation{ID: id, To: off})
 				off += ext.Size
-				ref++
 			})
 			cursor := int64(0)
-			ref = 0
 			s.ForEach(func(id ID, ext Extent) {
-				plan = append(plan, Relocation{ID: id, To: cursor, Ref: ref})
+				plan = append(plan, Relocation{ID: id, To: cursor})
 				cursor += ext.Size
-				ref++
 			})
-			maxRef := s.Len()
+			plan = ranked(s, 0, plan)
 
 			budget := int64(1) << 40
 			if seed%2 == 1 {
 				budget = 1 + int64(rng.IntN(int(s.Volume()+1)))
 			}
 			var got applyRecorder
-			consumed, vol, err := s.ApplyMoves(plan, maxRef, nil, budget, got.add)
+			consumed, vol, err := s.ApplyMoves(plan, 0, nil, budget, got.add)
 			if err != nil {
 				t.Fatalf("opts %+v seed %d: ApplyMoves: %v", opts, seed, err)
 			}
@@ -159,51 +174,77 @@ func TestApplyMovesMatchesSerial(t *testing.T) {
 }
 
 // TestApplyMovesValidation exercises the up-front plan validation: every
-// rejection leaves the space untouched.
+// rejection leaves the space untouched. Refs are suffix ranks: with
+// objects 1, 2, 3 at 0, 10, 20, the suffix from 0 ranks them 0, 1, 2 and
+// the suffix from 10 ranks objects 2 and 3 as 0 and 1.
 func TestApplyMovesValidation(t *testing.T) {
 	build := func(opts Options) *Space {
 		s := New(opts)
 		for i, ext := range []Extent{{0, 4}, {10, 4}, {20, 4}} {
-			if err := s.Place(ID(i+1), ext); err != nil {
+			if err := s.PlaceTagged(ID(i+1), ext, int32(i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return s
 	}
+	type entry struct {
+		id  ID
+		ext Extent
+		tag int32
+	}
+	snapshot := func(s *Space) []entry {
+		var out []entry
+		s.ForEachTagged(func(id ID, ext Extent, tag int32) { out = append(out, entry{id, ext, tag}) })
+		return out
+	}
 	cases := []struct {
 		name string
 		opts Options
+		from int64
 		plan []Relocation
 		want error
 	}{
-		{"unknown object", RAM(), []Relocation{{ID: 99, To: 50}}, ErrUnknownObject},
-		{"negative target", RAM(), []Relocation{{ID: 1, To: -3}}, ErrBadExtent},
-		{"lands on unmoved", RAM(), []Relocation{{ID: 1, To: 12}}, ErrOverlap},
-		{"moved collide", RAM(), []Relocation{{ID: 1, To: 50}, {ID: 2, To: 52, Ref: 1}}, ErrOverlap},
-		{"strict self overlap", Durable(), []Relocation{{ID: 1, To: 2}}, ErrSelfOverlap},
-		{"ref out of range", RAM(), []Relocation{{ID: 1, To: 50, Ref: 7}}, nil},
-		{"ref reuse across objects", RAM(), []Relocation{{ID: 1, To: 50}, {ID: 2, To: 60}}, nil},
+		{"unknown object", RAM(), 0, []Relocation{{ID: 99, To: 50}}, ErrUnknownObject},
+		{"negative target", RAM(), 0, []Relocation{{ID: 1, To: -3}}, ErrBadExtent},
+		{"lands on unmoved", RAM(), 0, []Relocation{{ID: 1, To: 12}}, ErrOverlap},
+		{"moved collide", RAM(), 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 52, Ref: 1}}, ErrOverlap},
+		{"strict self overlap", Durable(), 0, []Relocation{{ID: 1, To: 2}}, ErrSelfOverlap},
+		{"ref out of range", RAM(), 0, []Relocation{{ID: 1, To: 50, Ref: 7}}, nil},
+		{"negative ref", RAM(), 0, []Relocation{{ID: 1, To: 50, Ref: -1}}, nil},
+		{"ref reuse across objects", RAM(), 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 60}}, ErrUnknownObject},
+		{"ref names another object", RAM(), 0, []Relocation{{ID: 2, To: 50, Ref: 2}}, ErrUnknownObject},
+		{"suffix ref names another object", RAM(), 10, []Relocation{{ID: 2, To: 50, Ref: 1}}, ErrUnknownObject},
+		{"ref past the suffix end", RAM(), 10, []Relocation{{ID: 3, To: 50, Ref: 2}}, nil},
+		{"object left of from", RAM(), 10, []Relocation{{ID: 1, To: 50, Ref: 0}}, ErrUnknownObject},
+		{"target below from", RAM(), 10, []Relocation{{ID: 2, To: 5, Ref: 0}}, ErrBadExtent},
 	}
 	for _, c := range cases {
-		s := build(c.opts)
-		before := s.MaxEnd()
-		_, _, err := s.ApplyMoves(c.plan, 3, nil, 1<<40, nil)
-		if c.want != nil && !errors.Is(err, c.want) {
-			t.Errorf("%s: got error %v, want %v", c.name, err, c.want)
-		}
-		if err == nil {
-			t.Errorf("%s: invalid plan accepted", c.name)
-		}
-		if s.MaxEnd() != before || s.Moves() != 0 {
-			t.Errorf("%s: rejected plan mutated the space", c.name)
-		}
-		if err := s.Verify(); err != nil {
-			t.Errorf("%s: verify after rejection: %v", c.name, err)
+		for _, session := range []bool{false, true} {
+			s := build(c.opts)
+			before, moves := snapshot(s), s.Moves()
+			var err error
+			if session {
+				_, err = s.BeginMoves(c.plan, c.from, nil)
+			} else {
+				_, _, err = s.ApplyMoves(c.plan, c.from, nil, 1<<40, nil)
+			}
+			if c.want != nil && !errors.Is(err, c.want) {
+				t.Errorf("%s (session %v): got error %v, want %v", c.name, session, err, c.want)
+			}
+			if err == nil {
+				t.Errorf("%s (session %v): invalid plan accepted", c.name, session)
+			}
+			if !slices.Equal(snapshot(s), before) || s.Moves() != moves {
+				t.Errorf("%s (session %v): rejected plan mutated the space", c.name, session)
+			}
+			if err := s.Verify(); err != nil {
+				t.Errorf("%s (session %v): verify after rejection: %v", c.name, session, err)
+			}
 		}
 	}
 	// Memmove semantics allow self-overlap without strict mode.
 	s := build(RAM())
-	if _, _, err := s.ApplyMoves([]Relocation{{ID: 1, To: 2}}, 1, nil, 1<<40, nil); err != nil {
+	if _, _, err := s.ApplyMoves([]Relocation{{ID: 1, To: 2}}, 0, nil, 1<<40, nil); err != nil {
 		t.Errorf("memmove self overlap rejected: %v", err)
 	}
 }
@@ -218,14 +259,14 @@ func TestApplyMovesRevisits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan := []Relocation{
-		{ID: 1, To: 30, Ref: 0}, // park far right
-		{ID: 2, To: 40, Ref: 1},
-		{ID: 1, To: 0, Ref: 0}, // back to origin: net no-op
-		{ID: 2, To: 4, Ref: 1}, // pack against it
-	}
+	plan := ranked(s, 0, []Relocation{
+		{ID: 1, To: 30}, // park far right
+		{ID: 2, To: 40},
+		{ID: 1, To: 0}, // back to origin: net no-op
+		{ID: 2, To: 4}, // pack against it
+	})
 	var rec applyRecorder
-	consumed, vol, err := s.ApplyMoves(plan, 2, nil, 1<<40, rec.add)
+	consumed, vol, err := s.ApplyMoves(plan, 0, nil, 1<<40, rec.add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,13 +302,13 @@ func TestApplyMovesBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan := []Relocation{
-		{ID: 1, To: 0, Ref: 0},   // no-op: consumes the entry, not the budget
-		{ID: 2, To: 50, Ref: 1},  // 4 volume
-		{ID: 3, To: 60, Ref: 2},  // 4 volume: crosses the budget, still applied
-		{ID: 4, To: 100, Ref: 3}, // not reached
-	}
-	consumed, vol, err := s.ApplyMoves(plan, 4, nil, 5, nil)
+	plan := ranked(s, 0, []Relocation{
+		{ID: 1, To: 0},   // no-op: consumes the entry, not the budget
+		{ID: 2, To: 50},  // 4 volume
+		{ID: 3, To: 60},  // 4 volume: crosses the budget, still applied
+		{ID: 4, To: 100}, // not reached
+	})
+	consumed, vol, err := s.ApplyMoves(plan, 0, nil, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +318,8 @@ func TestApplyMovesBudget(t *testing.T) {
 	if got, _ := s.Extent(4); got.Start != 30 {
 		t.Fatalf("object 4 moved to %v despite exhausted budget", got)
 	}
-	if consumed, vol, err = s.ApplyMoves(plan[3:], 4, nil, 1, nil); err != nil || consumed != 1 || vol != 4 {
+	// Refs are ranks in the index as it stands: resuming rebinds them.
+	if consumed, vol, err = s.ApplyMoves(ranked(s, 0, plan[3:]), 0, nil, 1, nil); err != nil || consumed != 1 || vol != 4 {
 		t.Fatalf("resume: consumed %d vol %d err %v, want 1/4/nil", consumed, vol, err)
 	}
 	if err := s.Verify(); err != nil {

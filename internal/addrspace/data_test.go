@@ -2,8 +2,10 @@ package addrspace
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"realloc/internal/arena"
@@ -109,61 +111,76 @@ func TestMoveCarriesPayload(t *testing.T) {
 	}
 }
 
+// planRunner executes a whole plan, bound to the index suffix from
+// address from, through one of the batched executors.
+type planRunner struct {
+	name string
+	run  func(s *Space, plan []Relocation, from int64) error
+}
+
+// finalOrderOf lists plan's refs by their objects' final starts: the
+// order flush schedules hand the executors.
+func finalOrderOf(plan []Relocation) []int32 {
+	final := map[int32]int64{}
+	var refs []int32
+	for _, mv := range plan {
+		if _, ok := final[mv.Ref]; !ok {
+			refs = append(refs, mv.Ref)
+		}
+		final[mv.Ref] = mv.To
+	}
+	slices.SortFunc(refs, func(a, b int32) int { return cmp.Compare(final[a], final[b]) })
+	return refs
+}
+
+// planRunners covers ApplyMoves and the session's bulk, batched-chunk and
+// observed-chunk paths, with and without a supplied final order.
+func planRunners() []planRunner {
+	emit := func(MoveResult) {}
+	chunks := func(budget int64, emit func(MoveResult), ordered bool) func(s *Space, plan []Relocation, from int64) error {
+		return func(s *Space, plan []Relocation, from int64) error {
+			var order []int32
+			if ordered {
+				order = finalOrderOf(plan)
+			}
+			ms, err := s.BeginMoves(plan, from, order)
+			if err != nil {
+				return err
+			}
+			for !ms.Done() {
+				if _, _, err := ms.Advance(budget, emit); err != nil {
+					return err
+				}
+			}
+			return ms.Commit()
+		}
+	}
+	return []planRunner{
+		{"applyMoves", func(s *Space, plan []Relocation, from int64) error {
+			_, _, err := s.ApplyMoves(plan, from, nil, 1<<40, nil)
+			return err
+		}},
+		{"applyMovesEmit", func(s *Space, plan []Relocation, from int64) error {
+			_, _, err := s.ApplyMoves(plan, from, nil, 1<<40, emit)
+			return err
+		}},
+		{"applyMovesOrdered", func(s *Space, plan []Relocation, from int64) error {
+			_, _, err := s.ApplyMoves(plan, from, finalOrderOf(plan), 1<<40, emit)
+			return err
+		}},
+		{"sessionBulk", chunks(1<<40, nil, false)},
+		{"sessionBulkOrdered", chunks(1<<40, nil, true)},
+		{"sessionChunks", chunks(3, nil, false)},
+		{"sessionChunksEmit", chunks(2, emit, false)},
+	}
+}
+
 // TestBulkAndSessionCarryPayload drives the same randomized plan
 // through ApplyMoves, a single-chunk session, and a many-chunk session
 // (both with and without an emitter), checking payload integrity and
 // identical BytesMoved after each.
 func TestBulkAndSessionCarryPayload(t *testing.T) {
-	type runner struct {
-		name string
-		run  func(s *Space, plan []Relocation, maxRef int) error
-	}
-	emit := func(MoveResult) {}
-	runners := []runner{
-		{"applyMoves", func(s *Space, plan []Relocation, maxRef int) error {
-			_, _, err := s.ApplyMoves(plan, maxRef, nil, 1<<40, nil)
-			return err
-		}},
-		{"applyMovesEmit", func(s *Space, plan []Relocation, maxRef int) error {
-			_, _, err := s.ApplyMoves(plan, maxRef, nil, 1<<40, emit)
-			return err
-		}},
-		{"sessionBulk", func(s *Space, plan []Relocation, maxRef int) error {
-			ms, err := s.BeginMoves(plan, maxRef, nil)
-			if err != nil {
-				return err
-			}
-			if _, _, err := ms.Advance(1<<40, nil); err != nil {
-				return err
-			}
-			return ms.Commit()
-		}},
-		{"sessionChunks", func(s *Space, plan []Relocation, maxRef int) error {
-			ms, err := s.BeginMoves(plan, maxRef, nil)
-			if err != nil {
-				return err
-			}
-			for !ms.Done() {
-				if _, _, err := ms.Advance(3, nil); err != nil {
-					return err
-				}
-			}
-			return ms.Commit()
-		}},
-		{"sessionChunksEmit", func(s *Space, plan []Relocation, maxRef int) error {
-			ms, err := s.BeginMoves(plan, maxRef, nil)
-			if err != nil {
-				return err
-			}
-			for !ms.Done() {
-				if _, _, err := ms.Advance(2, emit); err != nil {
-					return err
-				}
-			}
-			return ms.Commit()
-		}},
-	}
-	for _, r := range runners {
+	for _, r := range planRunners() {
 		t.Run(r.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
 			s := newDataSpace(t, RAM(), arena.Heap)
@@ -186,20 +203,16 @@ func TestBulkAndSessionCarryPayload(t *testing.T) {
 			overflow := next + 16
 			var plan []Relocation
 			park := overflow
-			ref := int32(0)
 			for id := ID(1); id <= 12; id++ {
-				plan = append(plan, Relocation{ID: id, To: park, Ref: ref})
+				plan = append(plan, Relocation{ID: id, To: park})
 				park += live[id]
-				ref++
 			}
 			pack := int64(0)
-			ref = 0
 			for id := ID(1); id <= 12; id++ {
-				plan = append(plan, Relocation{ID: id, To: pack, Ref: ref})
+				plan = append(plan, Relocation{ID: id, To: pack})
 				pack += live[id]
-				ref++
 			}
-			if err := r.run(s, plan, 12); err != nil {
+			if err := r.run(s, ranked(s, 0, plan), 0); err != nil {
 				t.Fatalf("%s: %v", r.name, err)
 			}
 			if err := s.Verify(); err != nil {

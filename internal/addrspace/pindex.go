@@ -167,27 +167,29 @@ func (x *pindex) find(id ID, ext Extent) pos {
 }
 
 // forEach visits entries in address order.
-func (x *pindex) forEach(fn func(id ID, ext Extent)) {
+func (x *pindex) forEach(fn func(p placement)) {
 	for _, blk := range x.blocks {
 		for _, p := range blk {
-			fn(p.id, p.ext)
+			fn(p)
 		}
 	}
 }
 
-// forEachFrom visits entries from p to the end in address order.
-func (x *pindex) forEachFrom(p pos, fn func(id ID, ext Extent)) {
+// appendTagsFrom appends the tags of the entries from p to the end onto
+// dst, in address order.
+func (x *pindex) appendTagsFrom(p pos, dst []int32) []int32 {
 	if !x.valid(p) {
-		return
+		return dst
 	}
 	for _, e := range x.blocks[p.b][p.i:] {
-		fn(e.id, e.ext)
+		dst = append(dst, e.tag)
 	}
 	for b := p.b + 1; b < len(x.blocks); b++ {
 		for _, e := range x.blocks[b] {
-			fn(e.id, e.ext)
+			dst = append(dst, e.tag)
 		}
 	}
+	return dst
 }
 
 // flattenFrom appends the entries from p to the end onto dst.

@@ -56,18 +56,18 @@ type MoveSession struct {
 }
 
 // BeginMoves validates plan in its entirety — the same checks ApplyMoves
-// performs on its consumed prefix, against the current layout — and
-// returns a session that executes it incrementally. The plan must be
-// non-empty, and only one session may be active at a time. No Space state
-// changes until Advance.
-func (s *Space) BeginMoves(plan []Relocation, maxRef int, finalOrder []int32) (*MoveSession, error) {
+// performs on its consumed prefix, against the current layout and bound
+// to the index suffix from address from — and returns a session that
+// executes it incrementally. The plan must be non-empty, and only one
+// session may be active at a time. No Space state changes until Advance.
+func (s *Space) BeginMoves(plan []Relocation, from int64, finalOrder []int32) (*MoveSession, error) {
 	if len(plan) == 0 {
 		return nil, fmt.Errorf("addrspace: BeginMoves with an empty plan")
 	}
 	if s.session != nil {
 		return nil, fmt.Errorf("addrspace: a move session is already active")
 	}
-	b, _, cutPos, vol, err := s.simulatePlan(plan, maxRef, finalOrder, math.MaxInt64)
+	b, _, cutPos, vol, err := s.simulatePlan(plan, from, finalOrder, math.MaxInt64)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed in
 		// Entering incremental execution: rewind the simulation cursors
 		// (simulatePlan left them at the plan's final positions).
 		for _, ref := range b.touched {
-			b.curStart[ref] = b.initStart[ref]
+			b.curStart[ref] = b.suffix[ref].ext.Start
 		}
 	}
 	if emit == nil {
@@ -138,7 +138,7 @@ func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed in
 			consumed++
 			continue
 		}
-		size := b.size[mv.Ref]
+		size := b.suffix[mv.Ref].ext.Size
 		if err := s.applyOne(mv, oldStart, size, emit); err != nil {
 			return consumed, volume, err
 		}
@@ -176,7 +176,7 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 			consumed++
 			continue
 		}
-		size := b.size[mv.Ref]
+		size := b.suffix[mv.Ref].ext.Size
 		old := Extent{Start: oldStart, Size: size}
 		target := Extent{Start: mv.To, Size: size}
 		if s.opts.CheckpointRule && s.freed.intersects(target) {
@@ -214,20 +214,13 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 			continue // net no-op within the chunk: the entry is current
 		}
 		dels = append(dels, from)
-		ins = append(ins, placement{id: b.ids[ref], ext: Extent{Start: to, Size: b.size[ref]}})
+		p := b.suffix[ref]
+		p.ext.Start = to
+		ins = append(ins, p)
 	}
 	b.chunkDels, b.chunkIns = dels, ins
 	slices.Sort(dels)
-	slices.SortFunc(ins, func(a, c placement) int {
-		switch {
-		case a.ext.Start < c.ext.Start:
-			return -1
-		case a.ext.Start > c.ext.Start:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(ins, byStart)
 	s.byStart.removeStarts(dels)
 	if err := s.byStart.insertRuns(ins); err != nil {
 		// Counters, the freed set, and the object map already advanced and
@@ -245,9 +238,9 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 }
 
 // applyOne executes a single validated relocation with an incremental
-// index splice, evolving the Space exactly as Move would: transparent
-// checkpoint blocking, freed-set growth, cell stamps, counters, and an
-// eagerly synced object map.
+// index splice that keeps the entry's tag, evolving the Space exactly as
+// Move would: transparent checkpoint blocking, freed-set growth, cell
+// stamps, counters, and an eagerly synced object map.
 func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResult)) error {
 	old := Extent{Start: oldStart, Size: size}
 	target := Extent{Start: mv.To, Size: size}
@@ -262,23 +255,25 @@ func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResu
 		checkpointed = true
 	}
 	at := s.byStart.find(mv.ID, old)
+	entry := s.byStart.at(at)
 	s.byStart.removeAt(at)
 	// Intermediate-layout guard: with the old entry gone, the target must
 	// fall strictly between its prospective index neighbors.
 	ins := s.byStart.lowerBound(target.Start)
 	if pp, ok := s.byStart.prev(ins); ok {
 		if n := s.byStart.at(pp); n.ext.End() > target.Start {
-			s.byStart.insert(placement{id: mv.ID, ext: old})
+			s.byStart.insert(entry)
 			return fmt.Errorf("%w: move of %d to %v over %d at %v", ErrOverlap, mv.ID, target, n.id, n.ext)
 		}
 	}
 	if s.byStart.valid(ins) {
 		if n := s.byStart.at(ins); target.End() > n.ext.Start {
-			s.byStart.insert(placement{id: mv.ID, ext: old})
+			s.byStart.insert(entry)
 			return fmt.Errorf("%w: move of %d to %v over %d at %v", ErrOverlap, mv.ID, target, n.id, n.ext)
 		}
 	}
-	s.byStart.insert(placement{id: mv.ID, ext: target})
+	entry.ext = target
+	s.byStart.insert(entry)
 	s.objects[mv.ID] = target
 	s.stampCells(target, mv.ID)
 	if s.opts.CheckpointRule {

@@ -8,8 +8,9 @@ import (
 
 // buildChurnSpaces builds a pair of spaces sharing a randomized history
 // and returns a flush-shaped plan over the survivors (evacuate far right,
-// pack leftward), exactly like the ApplyMoves cross-check.
-func buildChurnSpaces(t *testing.T, opts Options, seed uint64) (s, mirror *Space, plan []Relocation, maxRef int) {
+// pack leftward), bound to the whole index, exactly like the ApplyMoves
+// cross-check.
+func buildChurnSpaces(t *testing.T, opts Options, seed uint64) (s, mirror *Space, plan []Relocation) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x5e55))
 	n := 20 + rng.IntN(80)
@@ -40,20 +41,16 @@ func buildChurnSpaces(t *testing.T, opts Options, seed uint64) (s, mirror *Space
 	}
 	far := s.MaxEnd() + s.Volume()
 	off := far
-	ref := int32(0)
 	s.ForEach(func(id ID, ext Extent) {
-		plan = append(plan, Relocation{ID: id, To: off, Ref: ref})
+		plan = append(plan, Relocation{ID: id, To: off})
 		off += ext.Size
-		ref++
 	})
 	cursor := int64(0)
-	ref = 0
 	s.ForEach(func(id ID, ext Extent) {
-		plan = append(plan, Relocation{ID: id, To: cursor, Ref: ref})
+		plan = append(plan, Relocation{ID: id, To: cursor})
 		cursor += ext.Size
-		ref++
 	})
-	return s, mirror, plan, s.Len()
+	return s, mirror, ranked(s, 0, plan)
 }
 
 // TestSessionMatchesSerialChunked drives a session through random budget
@@ -64,8 +61,8 @@ func TestSessionMatchesSerialChunked(t *testing.T) {
 	for _, opts := range []Options{RAM(), Durable()} {
 		for seed := uint64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0xc4a))
-			s, mirror, plan, maxRef := buildChurnSpaces(t, opts, seed)
-			sess, err := s.BeginMoves(plan, maxRef, nil)
+			s, mirror, plan := buildChurnSpaces(t, opts, seed)
+			sess, err := s.BeginMoves(plan, 0, nil)
 			if err != nil {
 				t.Fatalf("opts %+v seed %d: BeginMoves: %v", opts, seed, err)
 			}
@@ -127,8 +124,8 @@ func TestSessionBatchedChunksMatchSerial(t *testing.T) {
 	for _, opts := range []Options{RAM(), Durable()} {
 		for seed := uint64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0xba7c4ed))
-			s, mirror, plan, maxRef := buildChurnSpaces(t, opts, seed+100)
-			sess, err := s.BeginMoves(plan, maxRef, nil)
+			s, mirror, plan := buildChurnSpaces(t, opts, seed+100)
+			sess, err := s.BeginMoves(plan, 0, nil)
 			if err != nil {
 				t.Fatalf("opts %+v seed %d: BeginMoves: %v", opts, seed, err)
 			}
@@ -177,8 +174,8 @@ func TestSessionBatchedChunksMatchSerial(t *testing.T) {
 // path) — results, layout, and stats.
 func TestSessionBulkFirstChunk(t *testing.T) {
 	for _, opts := range []Options{RAM(), Durable()} {
-		s, mirror, plan, maxRef := buildChurnSpaces(t, opts, 99)
-		sess, err := s.BeginMoves(plan, maxRef, nil)
+		s, mirror, plan := buildChurnSpaces(t, opts, 99)
+		sess, err := s.BeginMoves(plan, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +191,7 @@ func TestSessionBulkFirstChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want applyRecorder
-		wantConsumed, wantVol, err := mirror.ApplyMoves(plan, maxRef, nil, 1<<40, want.add)
+		wantConsumed, wantVol, err := mirror.ApplyMoves(plan, 0, nil, 1<<40, want.add)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,58 +216,63 @@ func TestSessionBulkFirstChunk(t *testing.T) {
 
 // TestSessionMidPlacements: placing and removing objects beyond the plan's
 // range between chunks (the update log's behavior) must leave the session
-// unaffected and the index consistent.
+// unaffected, the index consistent, and every entry's tag in place, on
+// the batched and the observed chunk paths.
 func TestSessionMidPlacements(t *testing.T) {
-	s := New(Durable())
-	for i := 0; i < 6; i++ {
-		if err := s.Place(ID(i+1), Extent{Start: int64(i * 10), Size: 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Park everything at 100.. then pack to 0.. .
-	var plan []Relocation
-	off := int64(100)
-	for i := 0; i < 6; i++ {
-		plan = append(plan, Relocation{ID: ID(i + 1), To: off, Ref: int32(i)})
-		off += 4
-	}
-	pos := int64(0)
-	for i := 0; i < 6; i++ {
-		plan = append(plan, Relocation{ID: ID(i + 1), To: pos, Ref: int32(i)})
-		pos += 4
-	}
-	sess, err := s.BeginMoves(plan, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logBase := int64(200)
-	logID := ID(1000)
-	for !sess.Done() {
-		if _, _, err := sess.Advance(5, nil); err != nil {
-			t.Fatal(err)
-		}
-		// Log-style traffic past the plan's range.
-		if err := s.Place(logID, Extent{Start: logBase, Size: 3}); err != nil {
-			t.Fatalf("mid-session place: %v", err)
-		}
-		logBase += 3
-		logID++
-		if logID%2 == 0 {
-			if err := s.Remove(logID - 1); err != nil {
-				t.Fatalf("mid-session remove: %v", err)
+	for _, emit := range []func(MoveResult){nil, func(MoveResult) {}} {
+		s := New(Durable())
+		for i := 0; i < 6; i++ {
+			if err := s.PlaceTagged(ID(i+1), Extent{Start: int64(i * 10), Size: 4}, tagOf(ID(i+1))); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := s.Verify(); err != nil {
+		// Park everything at 100.. then pack to 0.. .
+		var plan []Relocation
+		off := int64(100)
+		for i := 0; i < 6; i++ {
+			plan = append(plan, Relocation{ID: ID(i + 1), To: off})
+			off += 4
+		}
+		pos := int64(0)
+		for i := 0; i < 6; i++ {
+			plan = append(plan, Relocation{ID: ID(i + 1), To: pos})
+			pos += 4
+		}
+		sess, err := s.BeginMoves(ranked(s, 0, plan), 0, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sess.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if ext, _ := s.Extent(ID(i + 1)); ext.Start != int64(i*4) {
-			t.Fatalf("object %d at %v, want start %d", i+1, ext, i*4)
+		logBase := int64(200)
+		logID := ID(1000)
+		for !sess.Done() {
+			if _, _, err := sess.Advance(5, emit); err != nil {
+				t.Fatal(err)
+			}
+			// Log-style traffic past the plan's range.
+			if err := s.PlaceTagged(logID, Extent{Start: logBase, Size: 3}, tagOf(logID)); err != nil {
+				t.Fatalf("mid-session place: %v", err)
+			}
+			logBase += 3
+			logID++
+			if logID%2 == 0 {
+				if err := s.Remove(logID - 1); err != nil {
+					t.Fatalf("mid-session remove: %v", err)
+				}
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			checkTags(t, s)
 		}
+		if err := sess.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if ext, _ := s.Extent(ID(i + 1)); ext.Start != int64(i*4) {
+				t.Fatalf("object %d at %v, want start %d", i+1, ext, i*4)
+			}
+		}
+		checkTags(t, s)
 	}
 }
 
@@ -289,7 +291,7 @@ func TestSessionIntermediateOverlap(t *testing.T) {
 		}
 		// A's final position (20) is disjoint, but its first hop (8)
 		// overlaps B at [10,15).
-		sess, err := s.BeginMoves([]Relocation{{ID: 1, To: 8, Ref: 0}, {ID: 1, To: 20, Ref: 0}}, 1, nil)
+		sess, err := s.BeginMoves(ranked(s, 0, []Relocation{{ID: 1, To: 8}, {ID: 1, To: 20}}), 0, nil)
 		if err != nil {
 			t.Fatalf("final layout is valid, BeginMoves rejected it: %v", err)
 		}
@@ -331,22 +333,22 @@ func TestSessionGuards(t *testing.T) {
 		t.Fatal("empty plan accepted")
 	}
 	// Whole-plan validation: the second entry collides with object 3.
-	bad := []Relocation{{ID: 1, To: 50, Ref: 0}, {ID: 2, To: 22, Ref: 1}}
-	if _, err := s.BeginMoves(bad, 2, nil); !errors.Is(err, ErrOverlap) {
+	bad := ranked(s, 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 22}})
+	if _, err := s.BeginMoves(bad, 0, nil); !errors.Is(err, ErrOverlap) {
 		t.Fatalf("invalid tail: err %v, want ErrOverlap", err)
 	}
 	if s.Moves() != 0 {
 		t.Fatal("rejected plan mutated the space")
 	}
-	plan := []Relocation{{ID: 1, To: 50, Ref: 0}, {ID: 2, To: 60, Ref: 1}}
-	sess, err := s.BeginMoves(plan, 2, nil)
+	plan := ranked(s, 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 60}})
+	sess, err := s.BeginMoves(plan, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BeginMoves(plan, 2, nil); err == nil {
+	if _, err := s.BeginMoves(plan, 0, nil); err == nil {
 		t.Fatal("second concurrent session accepted")
 	}
-	if _, _, err := s.ApplyMoves(plan, 2, nil, 1<<40, nil); err == nil {
+	if _, _, err := s.ApplyMoves(plan, 0, nil, 1<<40, nil); err == nil {
 		t.Fatal("ApplyMoves accepted during an active session")
 	}
 	if err := sess.Commit(); err == nil {
@@ -361,9 +363,10 @@ func TestSessionGuards(t *testing.T) {
 	if err := sess.Commit(); err == nil {
 		t.Fatal("double commit accepted")
 	}
-	// The space is free for the next plan.
-	back := []Relocation{{ID: 1, To: 0, Ref: 0}, {ID: 2, To: 10, Ref: 1}}
-	sess2, err := s.BeginMoves(back, 2, nil)
+	// The space is free for the next plan, bound to the index as it now
+	// stands (object 3 ranks first).
+	back := ranked(s, 0, []Relocation{{ID: 1, To: 0}, {ID: 2, To: 10}})
+	sess2, err := s.BeginMoves(back, 0, nil)
 	if err != nil {
 		t.Fatalf("session after commit: %v", err)
 	}

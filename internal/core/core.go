@@ -108,6 +108,9 @@ type object struct {
 	size  int64
 	class int
 	place placeKind
+	// tag is the record's fixed position in the engine's record pages; the
+	// object's substrate index entry carries it (see records).
+	tag int32
 	// For place == inBuffer: which buffer (bufClass, tailBuffer for the
 	// tail) and the index of its item entry, so a delete can convert the
 	// entry to a dummy in place.
@@ -119,9 +122,58 @@ type object struct {
 	// deletePending marks objects whose delete request is sitting in the
 	// log (the object stays active until the drain applies it).
 	deletePending bool
+	// ref is the object's rank in the index suffix a flush schedule is
+	// built against (its Relocation.Ref), set by flushedObjects.
+	ref int32
 	// slot is the object's post-flush payload position, assigned by
 	// layoutPlan.assignSlots while a flush schedule is being built.
 	slot int64
+}
+
+// recPageBits sizes the record pages: 1024 records each.
+const recPageBits = 10
+
+// records holds the engine's object records in fixed-size pages; a
+// record's tag is its page and slot. The tag rides on the object's
+// substrate index entry, so a flush walking the index resolves records
+// without probing the id map. Pages never move, so *object pointers stay
+// valid for a record's lifetime; removed records' tags are reused.
+type records struct {
+	pages []*[1 << recPageBits]object
+	free  []int32
+	used  int32 // tags below used have been handed out
+}
+
+// take returns a zeroed record with its tag set.
+func (t *records) take() *object {
+	var tag int32
+	if n := len(t.free); n > 0 {
+		tag = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		tag = t.used
+		t.used++
+		if int(tag>>recPageBits) == len(t.pages) {
+			t.pages = append(t.pages, new([1 << recPageBits]object))
+		}
+	}
+	o := t.at(tag)
+	o.tag = tag
+	return o
+}
+
+// at returns the record with the given tag.
+func (t *records) at(tag int32) *object {
+	return &t.pages[tag>>recPageBits][tag&(1<<recPageBits-1)]
+}
+
+// put releases a record whose object has been fully removed. Annihilated
+// log entries may still point at it; they are dead and never
+// dereferenced.
+func (t *records) put(o *object) {
+	tag := o.tag
+	*o = object{tag: tag}
+	t.free = append(t.free, tag)
 }
 
 // tailBuffer is the sentinel bufClass for objects parked in the tail
@@ -179,6 +231,7 @@ type Reallocator struct {
 	nullRec bool
 
 	objs    map[ID]*object
+	recs    records   // the records objs points into
 	regions []*region // ascending class order
 	tailBuf *tail     // Deamortized only
 
@@ -211,18 +264,19 @@ type Reallocator struct {
 
 	// Flush scratch, reused so steady-state flushes allocate nothing: the
 	// move plan under construction (handed to flushPlan, which retires
-	// before the next flush starts), the address-ordered payload/buffered
-	// collections, the flushed class list, the next layout's region slice,
-	// and pools of retired region and object records.
+	// before the next flush starts), the flushed suffix's tags, the
+	// address-ordered payload/buffered collections, the flushed class
+	// list, the next layout's region slice, and a pool of retired region
+	// records.
 	planBuf    []addrspace.Relocation
 	orderBuf   []int32
 	countBuf   []int
+	tagBuf     []int32
 	payBuf     []*object
 	bufBuf     []*object
 	classBuf   []int
 	regionBuf  []*region
 	regionPool []*region
-	objPool    []*object
 }
 
 // New creates a Reallocator. It validates Config and chooses the substrate
@@ -419,19 +473,19 @@ func (r *Reallocator) emitPlanMove(m addrspace.MoveResult) {
 	r.emitAt(trace.KMove, m.ID, m.Size, m.From, m.To, m.Footprint)
 }
 
-// applyPlan executes up to budget volume of an atomic flush move plan in
-// one batch and returns the number of consumed plan entries and the
-// volume they moved. Config.SerialFlush forces the per-move reference
-// path; both produce identical event streams (the differential tests
-// assert it). Quota-bounded Section 3 plans do not come here — they
-// execute through the resumable session advanceQuota holds. Paranoid mode
-// re-verifies the substrate after every batch, cross-checking the merge
-// rebuild.
-func (r *Reallocator) applyPlan(moves []addrspace.Relocation, maxRef int, finalOrder []int32, budget int64) (int, int64, error) {
+// applyPlan executes up to budget volume of an atomic flush move plan,
+// bound to the index suffix from address from, in one batch and returns
+// the number of consumed plan entries and the volume they moved.
+// Config.SerialFlush forces the per-move reference path; both produce
+// identical event streams (the differential tests assert it).
+// Quota-bounded Section 3 plans do not come here — they execute through
+// the resumable session advanceQuota holds. Paranoid mode re-verifies the
+// substrate after every batch, cross-checking the merge rebuild.
+func (r *Reallocator) applyPlan(moves []addrspace.Relocation, from int64, finalOrder []int32, budget int64) (int, int64, error) {
 	if r.cfg.SerialFlush {
 		return r.applyPlanSerial(moves, budget)
 	}
-	n, vol, err := r.space.ApplyMoves(moves, maxRef, finalOrder, budget, r.planEmitter())
+	n, vol, err := r.space.ApplyMoves(moves, from, finalOrder, budget, r.planEmitter())
 	if err == nil && r.cfg.Paranoid {
 		err = r.space.Verify()
 	}
@@ -466,24 +520,6 @@ func (r *Reallocator) applyPlanSerial(moves []addrspace.Relocation, budget int64
 		}
 	}
 	return len(moves), vol, nil
-}
-
-// takeObject returns a recycled object record, or a fresh one.
-func (r *Reallocator) takeObject() *object {
-	if n := len(r.objPool); n > 0 {
-		o := r.objPool[n-1]
-		r.objPool = r.objPool[:n-1]
-		return o
-	}
-	return new(object)
-}
-
-// putObject recycles a record whose object has been fully removed.
-// Annihilated log entries may still point at it; they are dead and never
-// dereferenced.
-func (r *Reallocator) putObject(o *object) {
-	*o = object{}
-	r.objPool = append(r.objPool, o)
 }
 
 // emitOpEnd closes a request.
@@ -587,13 +623,14 @@ func (r *Reallocator) moveObj(o *object, to int64) (bool, error) {
 	return r.moveCkpt(o.id, to)
 }
 
-// placeCkpt writes a new object, blocking on checkpoints like moveCkpt.
-// It emits the KInsert event (initial allocation).
-func (r *Reallocator) placeCkpt(id ID, ext addrspace.Extent) error {
+// placeCkpt writes a new object at ext, tagging its index entry with the
+// object's record, and blocks on checkpoints like moveCkpt. It emits the
+// KInsert event (initial allocation).
+func (r *Reallocator) placeCkpt(o *object, ext addrspace.Extent) error {
 	for {
-		err := r.space.Place(id, ext)
+		err := r.space.PlaceTagged(o.id, ext, o.tag)
 		if err == nil {
-			r.emit(trace.KInsert, id, ext.Size, 0, ext.Start)
+			r.emit(trace.KInsert, o.id, ext.Size, 0, ext.Start)
 			return nil
 		}
 		if errors.Is(err, addrspace.ErrWouldBlock) {

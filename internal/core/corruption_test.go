@@ -113,6 +113,28 @@ func TestCheckerCatchesSubstrateDesync(t *testing.T) {
 	}
 }
 
+func TestCheckerCatchesStaleTag(t *testing.T) {
+	r := corruptible(t)
+	// Re-place one object at its own extent under another record's tag.
+	var victim, other *object
+	for _, o := range r.objs {
+		if victim == nil {
+			victim = o
+		} else {
+			other = o
+			break
+		}
+	}
+	ext, _ := r.space.Extent(victim.id)
+	if err := r.space.Remove(victim.id); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.space.PlaceTagged(victim.id, ext, other.tag); err != nil {
+		t.Fatal(err)
+	}
+	expectViolation(t, r, "carries tag")
+}
+
 func TestCheckerCatchesFootprintBlowup(t *testing.T) {
 	r := corruptible(t)
 	// Fake a bloated structure: stretch the last region's buffer.

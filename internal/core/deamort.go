@@ -52,9 +52,9 @@ func (r *Reallocator) LogDepth() int { return r.log.pending() }
 // logInsert places a mid-flush insert at the end of the log region.
 func (r *Reallocator) logInsert(id ID, size int64) error {
 	pos := r.log.end
-	obj := r.takeObject()
+	obj := r.recs.take()
 	obj.id, obj.size, obj.class, obj.place, obj.logIdx = id, size, ClassOf(size), inLog, len(r.log.entries)
-	if err := r.placeCkpt(id, addrspace.Extent{Start: pos, Size: size}); err != nil {
+	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: size}); err != nil {
 		return err
 	}
 	r.objs[id] = obj
@@ -81,7 +81,7 @@ func (r *Reallocator) logDelete(obj *object) error {
 		r.volByClass[obj.class] -= obj.size
 		delete(r.objs, obj.id)
 		r.emit(trace.KDelete, obj.id, obj.size, 0, 0)
-		r.putObject(obj)
+		r.recs.put(obj)
 		return nil
 	}
 	obj.deletePending = true
@@ -203,6 +203,6 @@ func (r *Reallocator) drainDelete(obj *object) error {
 		return fmt.Errorf("core: drained delete of %d in unexpected state %d", obj.id, obj.place)
 	}
 	r.emit(trace.KDelete, obj.id, obj.size, 0, 0)
-	r.putObject(obj)
+	r.recs.put(obj)
 	return nil
 }

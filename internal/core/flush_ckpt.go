@@ -17,7 +17,6 @@ import (
 // schedules.
 type flushPlan struct {
 	moves       []addrspace.Relocation
-	maxRef      int
 	sess        *addrspace.MoveSession
 	next        int
 	movedVolume int64
@@ -85,16 +84,15 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 		U += o.size
 	}
 
-	// Plan refs: payload[i] is ref i, buffered[i] is ref len(payload)+i.
+	// Plan refs are the objects' ranks in the walked suffix.
 	moves := r.planBuf[:0]
-	push := func(id ID, to int64, ref int32) {
-		moves = append(moves, addrspace.Relocation{ID: id, To: to, Ref: ref})
+	push := func(o *object, to int64) {
+		moves = append(moves, addrspace.Relocation{ID: o.id, To: to, Ref: o.ref})
 	}
-	bufRef := func(i int) int32 { return int32(len(payload) + i) }
 	// Step 1: evacuate buffered objects to [W, W+U).
 	off := W
-	for i, o := range buffered {
-		push(o.id, off, bufRef(i))
+	for _, o := range buffered {
+		push(o, off)
 		off += o.size
 	}
 	// Step 2: pack payload objects rightward ending at W (largest class
@@ -103,19 +101,18 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	for i := len(payload) - 1; i >= 0; i-- {
 		o := payload[i]
 		cursor -= o.size
-		push(o.id, cursor, int32(i))
+		push(o, cursor)
 	}
 	// Step 3: unpack leftward to final positions (smallest class first).
-	for i, o := range payload {
-		push(o.id, o.slot, int32(i))
+	for _, o := range payload {
+		push(o, o.slot)
 	}
 	// Step 4: buffered objects down into their payload tails.
-	for i, o := range buffered {
-		push(o.id, o.slot, bufRef(i))
+	for _, o := range buffered {
+		push(o, o.slot)
 	}
 	r.planBuf = moves
 
-	maxRef := len(payload) + len(buffered)
 	// The whole schedule is validated against the pre-flush layout here;
 	// the session then advances it in quota-bounded chunks that splice the
 	// index incrementally, so no chunk pays a suffix rebuild. SerialFlush
@@ -123,7 +120,7 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	var sess *addrspace.MoveSession
 	if !r.cfg.SerialFlush && len(moves) > 0 {
 		var err error
-		sess, err = r.space.BeginMoves(moves, maxRef, r.buildFinalOrder(&lp, payload, buffered))
+		sess, err = r.space.BeginMoves(moves, walkStart, r.buildFinalOrder(&lp, payload, buffered))
 		if err != nil {
 			return err
 		}
@@ -131,18 +128,14 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 
 	// Bookkeeping switches to the post-flush geometry now; physical
 	// positions catch up as the plan executes. Every flushed object ends
-	// in its payload.
-	for _, o := range payload {
-		o.place = inPayload
-	}
+	// in its payload, where the payload survivors already are.
 	for _, o := range buffered {
 		o.place = inPayload
 	}
 	r.install(lp)
 	r.plan = &flushPlan{
-		moves:  moves,
-		maxRef: maxRef,
-		sess:   sess,
+		moves: moves,
+		sess:  sess,
 	}
 
 	// Updates arriving while the plan runs are placed in the log region,

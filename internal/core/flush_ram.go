@@ -40,40 +40,36 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	if cur := r.structEndCurrent(); cur > overflow {
 		overflow = cur
 	}
-	// Plan refs: payload[i] is ref i, buffered[i] is ref len(payload)+i.
+	// Plan refs are the objects' ranks in the walked suffix.
 	plan := r.planBuf[:0]
-	bufRef := func(i int) int32 { return int32(len(payload) + i) }
 	off := overflow
-	for i, o := range buffered {
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: off, Ref: bufRef(i)})
+	for _, o := range buffered {
+		plan = append(plan, addrspace.Relocation{ID: o.id, To: off, Ref: o.ref})
 		off += o.size
 	}
 	// Step 2 targets: packed with no gaps from the suffix start. Class
 	// order is preserved because payload objects arrive address-sorted.
 	pos := lp.suffixStart
-	for i, o := range payload {
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: pos, Ref: int32(i)})
+	for _, o := range payload {
+		plan = append(plan, addrspace.Relocation{ID: o.id, To: pos, Ref: o.ref})
 		pos += o.size
 	}
 	// Step 3: expand rightward to final positions, largest class first and
 	// right-to-left within it, so no move lands on a not-yet-moved object.
 	for i := len(payload) - 1; i >= 0; i-- {
-		plan = append(plan, addrspace.Relocation{ID: payload[i].id, To: payload[i].slot, Ref: int32(i)})
+		o := payload[i]
+		plan = append(plan, addrspace.Relocation{ID: o.id, To: o.slot, Ref: o.ref})
 	}
 	// Step 4: buffered objects down into their payload tails.
-	for i, o := range buffered {
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: o.slot, Ref: bufRef(i)})
+	for _, o := range buffered {
+		plan = append(plan, addrspace.Relocation{ID: o.id, To: o.slot, Ref: o.ref})
 	}
 	r.planBuf = plan
 
-	maxRef := len(payload) + len(buffered)
 	finalOrder := r.buildFinalOrder(&lp, payload, buffered)
-	_, flushedVol, err := r.applyPlan(plan, maxRef, finalOrder, quotaAll)
+	_, flushedVol, err := r.applyPlan(plan, lp.suffixStart, finalOrder, quotaAll)
 	if err != nil {
 		return err
-	}
-	for _, o := range payload {
-		o.place = inPayload
 	}
 	for _, o := range buffered {
 		o.place = inPayload
@@ -84,7 +80,7 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	// Finally place the triggering insert at the reserved end of its class
 	// payload; this is its initial allocation, not a reallocation.
 	if trigger != nil {
-		if err := r.placeCkpt(trigger.id, addrspace.Extent{Start: trigger.slot, Size: trigger.size}); err != nil {
+		if err := r.placeCkpt(trigger, addrspace.Extent{Start: trigger.slot, Size: trigger.size}); err != nil {
 			return err
 		}
 		trigger.place = inPayload

@@ -51,7 +51,7 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 	c := ClassOf(size)
 	r.vol += size
 	r.volByClass[c] += size
-	obj := r.takeObject()
+	obj := r.recs.take()
 	obj.id, obj.size, obj.class, obj.place = id, size, c, inLimbo
 	r.objs[id] = obj
 
@@ -118,7 +118,7 @@ func (r *Reallocator) insertNewClass(obj *object) error {
 		payLive:  obj.size,
 		bufSize:  r.bufCap(obj.size),
 	}
-	if err := r.placeCkpt(obj.id, addrspace.Extent{Start: reg.payStart, Size: obj.size}); err != nil {
+	if err := r.placeCkpt(obj, addrspace.Extent{Start: reg.payStart, Size: obj.size}); err != nil {
 		return err
 	}
 	obj.place = inPayload
@@ -143,7 +143,7 @@ func (r *Reallocator) findBuffer(c int, size int64) (int, bool) {
 func (r *Reallocator) insertIntoBuffer(obj *object, idx int) error {
 	reg := r.regions[idx]
 	pos := reg.bufStart() + reg.bufFill
-	if err := r.placeCkpt(obj.id, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
+	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
 		return err
 	}
 	obj.place = inBuffer
@@ -158,7 +158,7 @@ func (r *Reallocator) insertIntoBuffer(obj *object, idx int) error {
 func (r *Reallocator) insertIntoTail(obj *object) error {
 	t := r.tailBuf
 	pos := t.start + t.fill
-	if err := r.placeCkpt(obj.id, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
+	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
 		return err
 	}
 	obj.place = inBuffer
@@ -174,7 +174,7 @@ func (r *Reallocator) insertIntoTail(obj *object) error {
 // buffer segment per Section 3.2.
 func (r *Reallocator) placeTrigger(obj *object) error {
 	pos := r.space.MaxEnd()
-	if err := r.placeCkpt(obj.id, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
+	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
 		return err
 	}
 	obj.place = inBuffer
@@ -244,7 +244,7 @@ func (r *Reallocator) deleteNow(obj *object, quota int64) error {
 			return err
 		}
 		r.emit(trace.KDelete, obj.id, obj.size, 0, 0)
-		r.putObject(obj)
+		r.recs.put(obj)
 		return nil
 	case inPayload:
 		size, class := obj.size, obj.class
@@ -255,7 +255,7 @@ func (r *Reallocator) deleteNow(obj *object, quota int64) error {
 			return err
 		}
 		r.emit(trace.KDelete, obj.id, size, 0, 0)
-		r.putObject(obj)
+		r.recs.put(obj)
 		// The hole persists; a dummy record must consume buffer space so
 		// that enough deletes eventually force a flush.
 		dummy := bufItem{size: size, class: class}

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"realloc/internal/addrspace"
+)
 
 // CheckInvariants validates the full data-structure state: the substrate's
 // disjointness, Invariants 2.2-2.4 (region composition, payload class
@@ -169,7 +173,20 @@ func (r *Reallocator) checkObjects() error {
 			}
 		}
 	}
-	return nil
+	// Flush planning resolves records through index tags alone: every
+	// entry's tag must name the live record with the entry's id and size.
+	var terr error
+	r.space.ForEachTagged(func(id ID, ext addrspace.Extent, tag int32) {
+		if terr != nil {
+			return
+		}
+		if tag < 0 || tag >= r.recs.used {
+			terr = fmt.Errorf("core: object %d at %v carries tag %d, past the %d records", id, ext, tag, r.recs.used)
+		} else if o := r.recs.at(tag); o.id != id || o.size != ext.Size || r.objs[id] != o {
+			terr = fmt.Errorf("core: object %d at %v carries tag %d, whose record is object %d of size %d", id, ext, tag, o.id, o.size)
+		}
+	})
+	return terr
 }
 
 // checkVolumes validates V and per-class volume accounting.

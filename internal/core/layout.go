@@ -40,8 +40,11 @@ type layoutPlan struct {
 	flushIdx    int   // regions[flushIdx:] are flushed
 	suffixStart int64 // where the rebuilt suffix begins
 	newRegions  []*region
-	newEnd      int64 // absolute end of the rebuilt suffix (payloads+buffers)
-	newTailCap  int64 // deamortized: capacity of the new tail buffer
+	// regionAt holds, per size class, 1 + the class's newRegions index (0:
+	// the class has no region), so per-object lookups cost no search.
+	regionAt   [64]uint8
+	newEnd     int64 // absolute end of the rebuilt suffix (payloads+buffers)
+	newTailCap int64 // deamortized: capacity of the new tail buffer
 }
 
 // computeLayout determines the new suffix geometry for a flush with
@@ -76,6 +79,7 @@ func (r *Reallocator) computeLayout(b int) layoutPlan {
 		reg.cursor = pos
 		pos = reg.end()
 		lp.newRegions = append(lp.newRegions, reg)
+		lp.regionAt[c] = uint8(len(lp.newRegions))
 	}
 	r.regionBuf = lp.newRegions
 	lp.newEnd = pos
@@ -101,27 +105,31 @@ func (r *Reallocator) takeRegion() *region {
 // flushedObjects gathers the live objects involved in flushing classes
 // >= b, split into payload survivors and buffered objects, each sorted by
 // current address (dummies are not objects and are simply dropped). The
-// flushed classes occupy the address suffix from suffixStart on (the
+// flushed classes occupy the address suffix starting at from (the
 // boundary computation guarantees no smaller-class item is buffered
 // there), and the substrate's index is address-sorted, so one ranged walk
 // collects both lists in order — no per-flush sort, no full-index scan,
-// and the returned slices are scratch reused across flushes. The trigger
-// object, if physically placed in a buffer already, is among the buffered
-// ones.
-func (r *Reallocator) flushedObjects(b int, suffixStart int64) (payload, buffered []*object) {
+// and the returned slices are scratch reused across flushes. The walk
+// yields index tags, which name the records directly, and each record
+// notes its rank in the walk: the Ref a plan applied against from names
+// it by. The trigger object, if physically placed in a buffer already, is
+// among the buffered ones.
+func (r *Reallocator) flushedObjects(b int, from int64) (payload, buffered []*object) {
 	pay, buf := r.payBuf[:0], r.bufBuf[:0]
-	r.space.ForEachFrom(suffixStart, func(id ID, _ addrspace.Extent) {
-		o := r.objs[id]
+	r.tagBuf = r.space.SuffixTags(from, r.tagBuf[:0])
+	for rank, tag := range r.tagBuf {
+		o := r.recs.at(tag)
 		if o.class < b {
-			return
+			continue
 		}
+		o.ref = int32(rank)
 		switch o.place {
 		case inPayload:
 			pay = append(pay, o)
 		case inBuffer:
 			buf = append(buf, o)
 		}
-	})
+	}
 	r.payBuf, r.bufBuf = pay, buf
 	return pay, buf
 }
@@ -151,12 +159,11 @@ func (lp *layoutPlan) assignSlots(payload, buffered []*object, trigger *object) 
 	}
 }
 
-// buildFinalOrder returns the plan refs (payload index i for payload[i],
-// len(payload)+i for buffered[i]) ordered by final position: region by
-// region ascending, payload survivors before buffered arrivals, each in
-// their list order — exactly the order assignSlots advances its cursors.
-// One counting pass per list keeps it O(m + log-many classes) and
-// allocation-free in steady state.
+// buildFinalOrder returns the plan refs of payload and buffered ordered by
+// final position: region by region ascending, payload survivors before
+// buffered arrivals, each in their list order — exactly the order
+// assignSlots advances its cursors. One counting pass per list keeps it
+// O(m + log-many classes) and allocation-free in steady state.
 func (r *Reallocator) buildFinalOrder(lp *layoutPlan, payload, buffered []*object) []int32 {
 	k := len(lp.newRegions)
 	counts := r.countBuf[:0]
@@ -181,42 +188,30 @@ func (r *Reallocator) buildFinalOrder(lp *layoutPlan, payload, buffered []*objec
 	} else {
 		out = out[:total]
 	}
-	for i, o := range payload {
+	for _, o := range payload {
 		idx := lp.regionIdx(o.class)
-		out[counts[idx]] = int32(i)
+		out[counts[idx]] = o.ref
 		counts[idx]++
 	}
-	for i, o := range buffered {
+	for _, o := range buffered {
 		idx := lp.regionIdx(o.class)
-		out[counts[idx]] = int32(len(payload) + i)
+		out[counts[idx]] = o.ref
 		counts[idx]++
 	}
 	r.orderBuf = out
 	return out
 }
 
-// regionIdx returns the newRegions index of the first region with class
-// >= c.
+// regionIdx returns the newRegions index of class c's region (must exist).
 func (lp *layoutPlan) regionIdx(c int) int {
-	lo, hi := 0, len(lp.newRegions)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if lp.newRegions[mid].class < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// regionOf returns the new region for class c (must exist).
-func (lp *layoutPlan) regionOf(c int) *region {
-	if i := lp.regionIdx(c); i < len(lp.newRegions) && lp.newRegions[i].class == c {
-		return lp.newRegions[i]
+	if i := int(lp.regionAt[c]) - 1; i >= 0 {
+		return i
 	}
 	panic("core: layout missing region for flushed class")
 }
+
+// regionOf returns the new region for class c (must exist).
+func (lp *layoutPlan) regionOf(c int) *region { return lp.newRegions[lp.regionIdx(c)] }
 
 // install replaces the flushed suffix bookkeeping with the new geometry
 // and resets the tail buffer. The replaced region records join the pool
