@@ -335,7 +335,11 @@
 // carry a tag naming the engine's record, so planning and validation
 // resolve objects by position and never hash an id; the plan is applied
 // through dense per-rank scratch and the index rebuilds only that suffix
-// in a single merge pass. The schedule supplies its final order, so the
+// in a single merge pass. Planning runs over a dense array filled by one
+// walk of that suffix, which reads each object's record once, and an
+// amortized flush sweeps each payload object straight to its slot, so
+// it moves at most once (buffered objects move out to the overflow
+// segment and back). The schedule supplies its final order, so the
 // bookkeeping is O(n + m) for a flush of m objects instead of the O(m·n)
 // a per-move sorted-index update pays; the id map is written only to
 // record applied moves. A deamortized flush spreads one schedule

@@ -173,14 +173,14 @@ func (s *Space) ForEachTagged(fn func(id ID, ext Extent, tag int32)) {
 	s.byStart.forEach(func(p placement) { fn(p.id, p.ext, p.tag) })
 }
 
-// SuffixTags appends to dst the tags of the live objects starting at or
-// after from, in address order, and returns the extended slice. The i-th
-// appended tag belongs to the object of rank i in that suffix: the
-// Relocation.Ref a move plan applied against from names it by. Flush
-// planning walks the flushed suffix this way, resolving its own records
-// by tag instead of looking up ids.
-func (s *Space) SuffixTags(from int64, dst []int32) []int32 {
-	return s.byStart.appendTagsFrom(s.byStart.lowerBound(from), dst)
+// SuffixTags calls fn with the tag and start of each live object
+// starting at or after from, in address order: the i-th call names the
+// object of rank i in that suffix, the Relocation.Ref a move plan applied
+// against from names it by. Flush planning walks the flushed suffix this
+// way, resolving its own records by tag instead of looking up ids, and
+// reads each object's current start without a second walk.
+func (s *Space) SuffixTags(from int64, fn func(tag int32, start int64)) {
+	s.byStart.tagsFrom(s.byStart.lowerBound(from), fn)
 }
 
 // overlapAny reports whether ext overlaps any live object other than skip

@@ -32,7 +32,7 @@ import (
 // Relocation is one step of a move plan: relocate ID so that it starts at
 // To. Ref names the object by its rank among the live objects starting at
 // or after the plan's from address, in address order (the order
-// SuffixTags lists them in); binding checks that the entry at that rank is
+// SuffixTags yields them in); binding checks that the entry at that rank is
 // ID. A plan may relocate the same object several times (flush schedules
 // park objects in the overflow segment before placing them); every step
 // of the same object carries the same Ref.

@@ -175,21 +175,14 @@ func (x *pindex) forEach(fn func(p placement)) {
 	}
 }
 
-// appendTagsFrom appends the tags of the entries from p to the end onto
-// dst, in address order.
-func (x *pindex) appendTagsFrom(p pos, dst []int32) []int32 {
-	if !x.valid(p) {
-		return dst
-	}
-	for _, e := range x.blocks[p.b][p.i:] {
-		dst = append(dst, e.tag)
-	}
-	for b := p.b + 1; b < len(x.blocks); b++ {
-		for _, e := range x.blocks[b] {
-			dst = append(dst, e.tag)
+// tagsFrom calls fn with the tag and start of each entry from p to the
+// end, in address order.
+func (x *pindex) tagsFrom(p pos, fn func(tag int32, start int64)) {
+	for b, i := p.b, p.i; b < len(x.blocks); b, i = b+1, 0 {
+		for _, e := range x.blocks[b][i:] {
+			fn(e.tag, e.ext.Start)
 		}
 	}
-	return dst
 }
 
 // flattenFrom appends the entries from p to the end onto dst.

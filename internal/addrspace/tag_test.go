@@ -112,28 +112,34 @@ func TestTagsSurviveMoves(t *testing.T) {
 	}
 }
 
-// TestSuffixTags: SuffixTags appends the tags of the objects starting at
-// or after from in address order — rank order — and Place tags 0.
+// TestSuffixTags: SuffixTags yields the tag and start of each object
+// starting at or after from in address order — rank order — and Place
+// tags 0.
 func TestSuffixTags(t *testing.T) {
 	s := tagSpace(t, RAM(), 4)
 	if err := s.Place(99, Extent{Start: s.MaxEnd() + 1, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
+	type tagStart struct {
+		tag   int32
+		start int64
+	}
 	from, _ := s.Extent(12)
-	var want []int32
+	var want []tagStart
 	s.ForEachTagged(func(id ID, ext Extent, tag int32) {
 		if ext.Start >= from.Start {
-			want = append(want, tag)
+			want = append(want, tagStart{tag, ext.Start})
 		}
 	})
-	if want[len(want)-1] != 0 {
-		t.Fatalf("Place tagged object 99 with %d, want 0", want[len(want)-1])
+	if want[len(want)-1].tag != 0 {
+		t.Fatalf("Place tagged object 99 with %d, want 0", want[len(want)-1].tag)
 	}
-	got := s.SuffixTags(from.Start, []int32{-5})
-	if !slices.Equal(got, append([]int32{-5}, want...)) {
-		t.Fatalf("SuffixTags = %v, want -5 then %v", got, want)
+	var got []tagStart
+	s.SuffixTags(from.Start, func(tag int32, start int64) { got = append(got, tagStart{tag, start}) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("SuffixTags = %v, want %v", got, want)
 	}
-	if got := s.SuffixTags(s.MaxEnd(), nil); len(got) != 0 {
-		t.Fatalf("SuffixTags past the end = %v", got)
-	}
+	s.SuffixTags(s.MaxEnd(), func(tag int32, start int64) {
+		t.Fatalf("SuffixTags past the end yielded tag %d at %d", tag, start)
+	})
 }

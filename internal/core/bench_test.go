@@ -49,7 +49,7 @@ func BenchmarkInsertBuffered(b *testing.B) {
 }
 
 // BenchmarkFlush measures a full Section 2 flush of a structure with n
-// objects: the cost of the four-step move schedule end to end.
+// objects: the cost of the move schedule end to end.
 func BenchmarkFlush(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

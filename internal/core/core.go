@@ -122,12 +122,6 @@ type object struct {
 	// deletePending marks objects whose delete request is sitting in the
 	// log (the object stays active until the drain applies it).
 	deletePending bool
-	// ref is the object's rank in the index suffix a flush schedule is
-	// built against (its Relocation.Ref), set by flushedObjects.
-	ref int32
-	// slot is the object's post-flush payload position, assigned by
-	// layoutPlan.assignSlots while a flush schedule is being built.
-	slot int64
 }
 
 // recPageBits sizes the record pages: 1024 records each.
@@ -199,9 +193,12 @@ type region struct {
 	bufSize  int64 // buffer capacity
 	bufFill  int64 // consumed buffer capacity (objects + dummies)
 	items    []bufItem
-	// cursor is assignSlots' next free payload position while the region
-	// is part of a layout plan under construction; meaningless after.
+	// cursor is assignSlots' next free payload position, and next first
+	// counts the region's flushed objects (flushedObjects) and then is
+	// assignSlots' next final-order index, while the region is part of a
+	// layout plan under construction; both are meaningless after.
 	cursor int64
+	next   int
 }
 
 func (r *region) bufStart() int64 { return r.payStart + r.paySize }
@@ -264,16 +261,13 @@ type Reallocator struct {
 
 	// Flush scratch, reused so steady-state flushes allocate nothing: the
 	// move plan under construction (handed to flushPlan, which retires
-	// before the next flush starts), the flushed suffix's tags, the
-	// address-ordered payload/buffered collections, the flushed class
-	// list, the next layout's region slice, and a pool of retired region
-	// records.
+	// before the next flush starts), its final order, the address-ordered
+	// payload/buffered planning arrays, the flushed class list, the next
+	// layout's region slice, and a pool of retired region records.
 	planBuf    []addrspace.Relocation
 	orderBuf   []int32
-	countBuf   []int
-	tagBuf     []int32
-	payBuf     []*object
-	bufBuf     []*object
+	payBuf     []flushObj
+	bufBuf     []flushObj
 	classBuf   []int
 	regionBuf  []*region
 	regionPool []*region

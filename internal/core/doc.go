@@ -51,4 +51,24 @@
 // size at the cost of at most one extra ∆ in the transient (mid-flush)
 // footprint, leaving every asymptotic bound intact. EXPERIMENTS.md
 // reports the measured additive slack.
+//
+// The Section 2 flush reaches the paper's layout in one order-preserving
+// sweep, where the paper compacts the flushed payload objects leftward
+// and then expands them rightward. The final layout keeps the payload
+// objects in address order, and a Section 2 move may overlap its own
+// source, so each payload object can go straight to its slot:
+// left-movers in ascending address order, and each maximal run of
+// right-movers in descending order. No move lands on an object that has
+// not moved yet. Every object before a left-mover already sits at its
+// slot, which ends at or before the left-mover's slot; the left-mover's
+// slot ends before its own old end, so before its successor's start. A
+// right-mover's slot starts past its own old start, so past every
+// unmoved object before it, and ends at or before the next slot; the
+// object after it in the run already sits there, and the successor that
+// ends the run stays or moves left, so it has not moved yet and starts
+// at or after its slot. Buffered objects still make the paper's two
+// moves, through the overflow segment. So each object moves no more
+// often than the paper's schedule moves it, and since a move of a size-w
+// object costs f(w) wherever it goes, the cost bound holds for every
+// subadditive f.
 package core

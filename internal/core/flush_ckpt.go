@@ -69,8 +69,9 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	if wtrig > 0 && L < walkStart {
 		walkStart = L
 	}
-	payload, buffered := r.flushedObjects(b, walkStart)
-	lp.assignSlots(payload, buffered, nil)
+	payload, buffered := r.flushedObjects(&lp, walkStart)
+	order, _ := lp.assignSlots(payload, buffered, r.orderBuf, nil)
+	r.orderBuf = order
 	B := r.flushedBufferSpace(lp.flushIdx)
 	LPrime := lp.newEnd - wtrig
 	W := L
@@ -80,36 +81,31 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	W += B + r.delta + wtrig
 
 	var U int64
-	for _, o := range buffered {
-		U += o.size
+	for i := range buffered {
+		U += buffered[i].size
 	}
 
-	// Plan refs are the objects' ranks in the walked suffix.
 	moves := r.planBuf[:0]
-	push := func(o *object, to int64) {
-		moves = append(moves, addrspace.Relocation{ID: o.id, To: to, Ref: o.ref})
-	}
 	// Step 1: evacuate buffered objects to [W, W+U).
 	off := W
-	for _, o := range buffered {
-		push(o, off)
-		off += o.size
+	for i := range buffered {
+		moves = append(moves, buffered[i].relocation(off))
+		off += buffered[i].size
 	}
 	// Step 2: pack payload objects rightward ending at W (largest class
 	// first; right-to-left within a class — i.e., reverse address order).
 	cursor := W
 	for i := len(payload) - 1; i >= 0; i-- {
-		o := payload[i]
-		cursor -= o.size
-		push(o, cursor)
+		cursor -= payload[i].size
+		moves = append(moves, payload[i].relocation(cursor))
 	}
 	// Step 3: unpack leftward to final positions (smallest class first).
-	for _, o := range payload {
-		push(o, o.slot)
+	for i := range payload {
+		moves = append(moves, payload[i].relocation(payload[i].slot))
 	}
 	// Step 4: buffered objects down into their payload tails.
-	for _, o := range buffered {
-		push(o, o.slot)
+	for i := range buffered {
+		moves = append(moves, buffered[i].relocation(buffered[i].slot))
 	}
 	r.planBuf = moves
 
@@ -120,7 +116,7 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	var sess *addrspace.MoveSession
 	if !r.cfg.SerialFlush && len(moves) > 0 {
 		var err error
-		sess, err = r.space.BeginMoves(moves, walkStart, r.buildFinalOrder(&lp, payload, buffered))
+		sess, err = r.space.BeginMoves(moves, walkStart, order)
 		if err != nil {
 			return err
 		}
@@ -129,8 +125,8 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	// Bookkeeping switches to the post-flush geometry now; physical
 	// positions catch up as the plan executes. Every flushed object ends
 	// in its payload, where the payload survivors already are.
-	for _, o := range buffered {
-		o.place = inPayload
+	for i := range buffered {
+		r.recs.at(buffered[i].tag).place = inPayload
 	}
 	r.install(lp)
 	r.plan = &flushPlan{

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"realloc/internal/addrspace"
 	"realloc/internal/telemetry"
 	"realloc/internal/trace"
@@ -8,17 +10,20 @@ import (
 
 // flushRAM executes a Section 2 buffer flush atomically. trigger is the
 // not-yet-placed object whose insert forced the flush (nil when a delete's
-// dummy record overflowed the buffers). Moves have memmove semantics; the
-// schedule still performs at most two moves per object:
+// dummy record overflowed the buffers). Moves have memmove semantics, so
+// the paper's middle steps — compact the payload objects leftward, then
+// expand them rightward — collapse into one sweep, and each payload
+// survivor moves at most once:
 //
 //  1. evacuate buffered objects to the overflow segment past the array,
-//  2. compact all flushed payload objects leftward (removing holes),
-//  3. expand them rightward to their final, gap-accommodating positions,
-//  4. pull the buffered objects down into their payload tails.
+//  2. sweep the flushed payload objects straight to their final,
+//     gap-accommodating positions (see sweepPlan),
+//  3. pull the buffered objects down into their payload tails.
 //
-// The whole schedule is built as one move plan and applied in a single
-// batch (see addrspace.ApplyMoves); the observable event stream is
-// identical to executing it move by move.
+// Every slot, and so the final layout, is the paper's. The whole schedule
+// is built as one move plan over the dense planning arrays and applied in
+// a single batch (see addrspace.ApplyMoves); the observable event stream
+// is identical to executing it move by move.
 func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	var t0 int64
 	if r.tel != nil {
@@ -30,8 +35,9 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	r.rec.Record(trace.Event{Kind: trace.KFlushStart, From: int64(b), Volume: r.vol})
 
 	lp := r.computeLayout(b)
-	payload, buffered := r.flushedObjects(b, lp.suffixStart)
-	lp.assignSlots(payload, buffered, trigger)
+	payload, buffered := r.flushedObjects(&lp, lp.suffixStart)
+	order, trigSlot := lp.assignSlots(payload, buffered, r.orderBuf, trigger)
+	r.orderBuf = order
 
 	// Step 1 targets: the overflow segment, which starts after both the
 	// current suffix (which may be longer when deletes shrank the volume)
@@ -40,39 +46,26 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	if cur := r.structEndCurrent(); cur > overflow {
 		overflow = cur
 	}
-	// Plan refs are the objects' ranks in the walked suffix.
 	plan := r.planBuf[:0]
 	off := overflow
-	for _, o := range buffered {
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: off, Ref: o.ref})
-		off += o.size
+	for i := range buffered {
+		plan = append(plan, buffered[i].relocation(off))
+		off += buffered[i].size
 	}
-	// Step 2 targets: packed with no gaps from the suffix start. Class
-	// order is preserved because payload objects arrive address-sorted.
-	pos := lp.suffixStart
-	for _, o := range payload {
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: pos, Ref: o.ref})
-		pos += o.size
-	}
-	// Step 3: expand rightward to final positions, largest class first and
-	// right-to-left within it, so no move lands on a not-yet-moved object.
-	for i := len(payload) - 1; i >= 0; i-- {
-		o := payload[i]
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: o.slot, Ref: o.ref})
-	}
-	// Step 4: buffered objects down into their payload tails.
-	for _, o := range buffered {
-		plan = append(plan, addrspace.Relocation{ID: o.id, To: o.slot, Ref: o.ref})
+	// Step 2: every payload object straight to its slot.
+	plan = sweepPlan(plan, payload)
+	// Step 3: buffered objects down into their payload tails.
+	for i := range buffered {
+		plan = append(plan, buffered[i].relocation(buffered[i].slot))
 	}
 	r.planBuf = plan
 
-	finalOrder := r.buildFinalOrder(&lp, payload, buffered)
-	_, flushedVol, err := r.applyPlan(plan, lp.suffixStart, finalOrder, quotaAll)
+	_, flushedVol, err := r.applyPlan(plan, lp.suffixStart, order, quotaAll)
 	if err != nil {
 		return err
 	}
-	for _, o := range buffered {
-		o.place = inPayload
+	for i := range buffered {
+		r.recs.at(buffered[i].tag).place = inPayload
 	}
 
 	r.install(lp)
@@ -80,7 +73,7 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	// Finally place the triggering insert at the reserved end of its class
 	// payload; this is its initial allocation, not a reallocation.
 	if trigger != nil {
-		if err := r.placeCkpt(trigger, addrspace.Extent{Start: trigger.slot, Size: trigger.size}); err != nil {
+		if err := r.placeCkpt(trigger, addrspace.Extent{Start: trigSlot, Size: trigger.size}); err != nil {
 			return err
 		}
 		trigger.place = inPayload
@@ -101,4 +94,42 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 		})
 	}
 	return nil
+}
+
+// sweepPlan appends to plan the moves that carry the address-ordered
+// payload objects straight to their slots, one move per object that
+// changes place: left-movers in ascending order, each maximal run of
+// right-movers in descending order once the run ends. Because slots keep
+// address order, no move lands on an object that has not moved yet (the
+// package documentation, under "Deviations from the paper", gives the
+// argument). ApplyMoves validates only the final layout, so a mis-ordered
+// plan would overwrite payload bytes: the sweep panics on a slot below
+// its predecessor's end, a bookkeeping desync.
+func sweepPlan(plan []addrspace.Relocation, payload []flushObj) []addrspace.Relocation {
+	run := 0 // first object of the pending run of right-movers
+	prevEnd := int64(math.MinInt64)
+	for i := range payload {
+		o := &payload[i]
+		if o.slot < prevEnd {
+			panic("core: flush slots out of address order")
+		}
+		prevEnd = o.slot + o.size
+		if o.slot > o.start {
+			continue // joins the pending run
+		}
+		plan = appendRun(plan, payload[run:i])
+		run = i + 1
+		if o.slot < o.start {
+			plan = append(plan, o.relocation(o.slot))
+		}
+	}
+	return appendRun(plan, payload[run:])
+}
+
+// appendRun appends the moves of a run of right-movers, last first.
+func appendRun(plan []addrspace.Relocation, run []flushObj) []addrspace.Relocation {
+	for i := len(run) - 1; i >= 0; i-- {
+		plan = append(plan, run[i].relocation(run[i].slot))
+	}
+	return plan
 }

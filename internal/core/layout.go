@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"realloc/internal/addrspace"
@@ -77,6 +78,7 @@ func (r *Reallocator) computeLayout(b int) layoutPlan {
 		reg.payLive = v
 		reg.bufSize = r.bufCap(v)
 		reg.cursor = pos
+		reg.next = 0
 		pos = reg.end()
 		lp.newRegions = append(lp.newRegions, reg)
 		lp.regionAt[c] = uint8(len(lp.newRegions))
@@ -102,104 +104,88 @@ func (r *Reallocator) takeRegion() *region {
 	return &region{}
 }
 
+// flushObj is one flushed object as flush planning sees it. The suffix
+// walk reads each record once into one of these; slots, the final order
+// and the move plan are then computed over the dense array, so planning
+// never returns to the scattered records.
+type flushObj struct {
+	id    ID
+	size  int64
+	start int64 // current start
+	slot  int64 // post-flush start, written by assignSlots
+	class int
+	rank  int32 // rank in the walked suffix: the object's Relocation.Ref
+	tag   int32 // the object's record
+}
+
+// relocation returns the plan step moving o to to.
+func (o *flushObj) relocation(to int64) addrspace.Relocation {
+	return addrspace.Relocation{ID: o.id, To: to, Ref: o.rank}
+}
+
 // flushedObjects gathers the live objects involved in flushing classes
-// >= b, split into payload survivors and buffered objects, each sorted by
-// current address (dummies are not objects and are simply dropped). The
-// flushed classes occupy the address suffix starting at from (the
+// >= lp.boundary, split into payload survivors and buffered objects, each
+// sorted by current address (dummies are not objects and are simply
+// dropped), and counts each new region's objects into its next field.
+// The flushed classes occupy the address suffix starting at from (the
 // boundary computation guarantees no smaller-class item is buffered
 // there), and the substrate's index is address-sorted, so one ranged walk
 // collects both lists in order — no per-flush sort, no full-index scan,
 // and the returned slices are scratch reused across flushes. The walk
-// yields index tags, which name the records directly, and each record
-// notes its rank in the walk: the Ref a plan applied against from names
-// it by. The trigger object, if physically placed in a buffer already, is
-// among the buffered ones.
-func (r *Reallocator) flushedObjects(b int, from int64) (payload, buffered []*object) {
+// yields index tags, which name the records directly, and current starts;
+// each object's rank in the walk is the Ref a plan applied against from
+// names it by. The trigger object, if physically placed in a buffer
+// already, is among the buffered ones.
+func (r *Reallocator) flushedObjects(lp *layoutPlan, from int64) (payload, buffered []flushObj) {
 	pay, buf := r.payBuf[:0], r.bufBuf[:0]
-	r.tagBuf = r.space.SuffixTags(from, r.tagBuf[:0])
-	for rank, tag := range r.tagBuf {
+	rank := int32(0)
+	r.space.SuffixTags(from, func(tag int32, start int64) {
 		o := r.recs.at(tag)
-		if o.class < b {
-			continue
+		if o.class >= lp.boundary && (o.place == inPayload || o.place == inBuffer) {
+			fo := flushObj{id: o.id, size: o.size, start: start, class: o.class, rank: rank, tag: tag}
+			if o.place == inPayload {
+				pay = append(pay, fo)
+			} else {
+				buf = append(buf, fo)
+			}
+			lp.regionOf(o.class).next++
 		}
-		o.ref = int32(rank)
-		switch o.place {
-		case inPayload:
-			pay = append(pay, o)
-		case inBuffer:
-			buf = append(buf, o)
-		}
-	}
+		rank++
+	})
 	r.payBuf, r.bufBuf = pay, buf
 	return pay, buf
 }
 
 // assignSlots writes every flushed object's post-flush position into its
-// slot field: per class, payload survivors first (in their current
-// relative order), then buffered objects, then the pending Section 2
-// trigger object (which is not yet physically placed and gets the
-// reserved end of its class payload).
-func (lp *layoutPlan) assignSlots(payload, buffered []*object, trigger *object) {
-	for _, o := range payload {
-		reg := lp.regionOf(o.class)
-		o.slot = reg.cursor
-		reg.cursor += o.size
+// slot: per class, payload survivors first (in their current relative
+// order), then buffered objects, then the pending Section 2 trigger
+// object (which is not yet physically placed and gets the reserved end of
+// its class payload; its slot is returned). In the same pass it lists the
+// objects' plan refs in order of final position into order, reusing its
+// storage: region by region ascending, each region's slice of order
+// starting where flushedObjects' counts put it.
+func (lp *layoutPlan) assignSlots(payload, buffered []flushObj, order []int32, trigger *object) ([]int32, int64) {
+	n := 0
+	for _, reg := range lp.newRegions {
+		reg.next, n = n, n+reg.next
 	}
-	for _, o := range buffered {
-		if trigger != nil && o.id == trigger.id {
-			continue // placed last within its class below
+	order = slices.Grow(order[:0], n)[:n]
+	for _, objs := range [2][]flushObj{payload, buffered} {
+		for i := range objs {
+			o := &objs[i]
+			reg := lp.regionOf(o.class)
+			o.slot = reg.cursor
+			reg.cursor += o.size
+			order[reg.next] = o.rank
+			reg.next++
 		}
-		reg := lp.regionOf(o.class)
-		o.slot = reg.cursor
-		reg.cursor += o.size
 	}
+	var trigSlot int64
 	if trigger != nil {
 		reg := lp.regionOf(trigger.class)
-		trigger.slot = reg.payStart + reg.paySize - trigger.size
+		trigSlot = reg.payStart + reg.paySize - trigger.size
 	}
-}
-
-// buildFinalOrder returns the plan refs of payload and buffered ordered by
-// final position: region by region ascending, payload survivors before
-// buffered arrivals, each in their list order — exactly the order
-// assignSlots advances its cursors. One counting pass per list keeps it
-// O(m + log-many classes) and allocation-free in steady state.
-func (r *Reallocator) buildFinalOrder(lp *layoutPlan, payload, buffered []*object) []int32 {
-	k := len(lp.newRegions)
-	counts := r.countBuf[:0]
-	for i := 0; i < k; i++ {
-		counts = append(counts, 0)
-	}
-	r.countBuf = counts
-	for _, o := range payload {
-		counts[lp.regionIdx(o.class)]++
-	}
-	for _, o := range buffered {
-		counts[lp.regionIdx(o.class)]++
-	}
-	total := 0
-	for i, c := range counts {
-		counts[i] = total
-		total += c
-	}
-	out := r.orderBuf[:0]
-	if cap(out) < total {
-		out = make([]int32, total)
-	} else {
-		out = out[:total]
-	}
-	for _, o := range payload {
-		idx := lp.regionIdx(o.class)
-		out[counts[idx]] = o.ref
-		counts[idx]++
-	}
-	for _, o := range buffered {
-		idx := lp.regionIdx(o.class)
-		out[counts[idx]] = o.ref
-		counts[idx]++
-	}
-	r.orderBuf = out
-	return out
+	return order, trigSlot
 }
 
 // regionIdx returns the newRegions index of class c's region (must exist).

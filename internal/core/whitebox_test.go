@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"realloc/internal/addrspace"
 	"realloc/internal/trace"
 )
 
@@ -101,13 +103,53 @@ func TestComputeLayout(t *testing.T) {
 	}
 }
 
+// flushMoveCounter counts each object's moves within the current flush.
+// At KFlushStart, before any move, it reads which objects sit in a
+// buffer from their records.
+type flushMoveCounter struct {
+	r        *Reallocator
+	inFlush  bool
+	buffered map[ID]bool
+	moves    map[ID]int
+	// most is the largest per-flush move count of any object, by whether
+	// the object started the flush in a buffer.
+	most map[bool]int
+}
+
+func (c *flushMoveCounter) Record(e trace.Event) {
+	switch e.Kind {
+	case trace.KFlushStart:
+		c.inFlush = true
+		clear(c.moves)
+		clear(c.buffered)
+		for id, o := range c.r.objs {
+			if o.place == inBuffer {
+				c.buffered[id] = true
+			}
+		}
+	case trace.KMove:
+		if c.inFlush {
+			id := ID(e.ID)
+			c.moves[id]++
+			b := c.buffered[id]
+			c.most[b] = max(c.most[b], c.moves[id])
+		}
+	case trace.KFlushEnd:
+		c.inFlush = false
+	}
+}
+
 // TestFlushMovesObjectsAtMostTwice checks the schedule bound: within one
-// flush no object moves more than twice.
+// flush no object moves more than twice. In the Amortized variant only
+// objects that began the flush in a buffer move twice (out to the
+// overflow segment and back down); the one-sweep schedule moves every
+// payload survivor at most once.
 func TestFlushMovesObjectsAtMostTwice(t *testing.T) {
 	for _, v := range []Variant{Amortized, Checkpointed} {
 		t.Run(v.String(), func(t *testing.T) {
-			log := &trace.Log{}
-			r := MustNew(Config{Epsilon: 0.5, Variant: v, Recorder: log, Paranoid: true})
+			c := &flushMoveCounter{buffered: map[ID]bool{}, moves: map[ID]int{}, most: map[bool]int{}}
+			r := MustNew(Config{Epsilon: 0.5, Variant: v, Recorder: c, Paranoid: true})
+			c.r = r
 			// Dense mixed workload to force several flushes.
 			id := ID(1)
 			for i := 0; i < 400; i++ {
@@ -122,27 +164,52 @@ func TestFlushMovesObjectsAtMostTwice(t *testing.T) {
 					}
 				}
 			}
-			// Group move events per flush window.
-			perFlush := map[int64]int{}
-			inFlush := false
-			for _, e := range log.Events {
-				switch e.Kind {
-				case trace.KFlushStart:
-					inFlush = true
-					perFlush = map[int64]int{}
-				case trace.KMove:
-					if inFlush {
-						perFlush[e.ID]++
-						if perFlush[e.ID] > 2 {
-							t.Fatalf("object %d moved %d times in one flush", e.ID, perFlush[e.ID])
-						}
-					}
-				case trace.KFlushEnd:
-					inFlush = false
-				}
+			if r.Flushes() == 0 || c.most[false] == 0 {
+				t.Fatalf("%d flushes moved payload objects at most %d times: workload too weak", r.Flushes(), c.most[false])
+			}
+			if most := max(c.most[false], c.most[true]); most > 2 {
+				t.Fatalf("an object moved %d times in one flush", most)
+			}
+			if v == Amortized && c.most[false] > 1 {
+				t.Fatalf("an object outside the buffers moved %d times in one flush", c.most[false])
 			}
 		})
 	}
+}
+
+// TestSweepPlan: the Section 2 sweep moves a run of right-movers last
+// first, skips an object already at its slot, moves left-movers in
+// address order, and panics on a slot below its predecessor's end rather
+// than plan a move that would overwrite payload bytes.
+func TestSweepPlan(t *testing.T) {
+	payload := []flushObj{
+		{id: 1, size: 4, start: 0, slot: 2, rank: 0},   // right
+		{id: 2, size: 4, start: 4, slot: 6, rank: 1},   // right
+		{id: 3, size: 4, start: 10, slot: 10, rank: 2}, // at its slot
+		{id: 4, size: 4, start: 20, slot: 14, rank: 3}, // left
+		{id: 5, size: 4, start: 26, slot: 18, rank: 4}, // left
+		{id: 6, size: 4, start: 30, slot: 32, rank: 5}, // right
+		{id: 7, size: 4, start: 34, slot: 40, rank: 6}, // right, ends the list
+	}
+	want := []addrspace.Relocation{
+		{ID: 2, To: 6, Ref: 1}, {ID: 1, To: 2, Ref: 0},
+		{ID: 4, To: 14, Ref: 3}, {ID: 5, To: 18, Ref: 4},
+		{ID: 7, To: 40, Ref: 6}, {ID: 6, To: 32, Ref: 5},
+	}
+	head := addrspace.Relocation{ID: 9, To: 99, Ref: 9}
+	got := sweepPlan([]addrspace.Relocation{head}, payload)
+	if !slices.Equal(got, append([]addrspace.Relocation{head}, want...)) {
+		t.Fatalf("sweep plan = %v, want %v after %v", got[1:], want, head)
+	}
+
+	// Object 2's slot starts inside object 1's: a desynced layout.
+	payload[1].slot = 5
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sweep accepted a slot below its predecessor's end")
+		}
+	}()
+	sweepPlan(nil, payload)
 }
 
 // TestCheckpointedStrictness: the checkpointed variant runs on a strict
