@@ -341,8 +341,12 @@
 // it moves at most once (buffered objects move out to the overflow
 // segment and back). The schedule supplies its final order, so the
 // bookkeeping is O(n + m) for a flush of m objects instead of the O(m·n)
-// a per-move sorted-index update pays; the id map is written only to
-// record applied moves. A deamortized flush spreads one schedule
+// a per-move sorted-index update pays. Ids resolve through one
+// open-addressing table per engine that holds each object's extent and
+// record tag inline; every index entry records its object's table slot,
+// so a batch commit writes each moved extent by slot without hashing,
+// and a rebuild (once entries and tombstones pass 3/4 of the slots)
+// rewrites those slots. A deamortized flush spreads one schedule
 // across many requests as quota-bounded chunks; it runs through a
 // resumable executor session that validates the plan once and reconciles
 // the index incrementally per chunk — a chunk of k moves pays

@@ -87,13 +87,15 @@ func RAM() Options { return Options{} }
 // nonoverlapping moves plus the checkpoint rule.
 func Durable() Options { return Options{StrictNonOverlap: true, CheckpointRule: true} }
 
-// placement is one index entry: an object, its extent, and the opaque tag
-// its owner attached when placing it. Entries are kept sorted by Start;
-// moves carry the tag along.
+// placement is one index entry: an object, its extent, the opaque tag its
+// owner attached when placing it, and the object's id table slot. Entries
+// are kept sorted by Start; moves carry the tag and the slot along. The
+// slot fills what would be padding: entries stay 32 bytes.
 type placement struct {
-	id  ID
-	ext Extent
-	tag int32
+	id   ID
+	ext  Extent
+	tag  int32
+	slot int32
 }
 
 // Space is a simulated address space. The zero value is not usable; call
@@ -101,8 +103,8 @@ type placement struct {
 type Space struct {
 	opts Options
 
-	objects map[ID]Extent
-	byStart pindex // sorted by ext.Start; extents pairwise disjoint
+	ids     idTable // id -> extent and tag; slots recorded in byStart
+	byStart pindex  // sorted by ext.Start; extents pairwise disjoint
 
 	data arena.Backend // payload backend, nil for index-only spaces
 
@@ -122,14 +124,14 @@ type Space struct {
 
 // New creates an empty Space with the given rules.
 func New(opts Options) *Space {
-	return &Space{opts: opts, data: opts.Data, objects: make(map[ID]Extent)}
+	return &Space{opts: opts, data: opts.Data}
 }
 
 // Options returns the rules this space enforces.
 func (s *Space) Options() Options { return s.opts }
 
 // Len returns the number of live objects.
-func (s *Space) Len() int { return len(s.objects) }
+func (s *Space) Len() int { return s.ids.live }
 
 // Volume returns the total size of live objects.
 func (s *Space) Volume() int64 { return s.volume }
@@ -159,8 +161,19 @@ func (s *Space) Places() int64 { return s.places }
 
 // Extent returns the current extent of id.
 func (s *Space) Extent(id ID) (Extent, bool) {
-	e, ok := s.objects[id]
-	return e, ok
+	ext, _, ok := s.Lookup(id)
+	return ext, ok
+}
+
+// Lookup returns the current extent of id and the tag it was placed
+// with, in one probe.
+func (s *Space) Lookup(id ID) (Extent, int32, bool) {
+	slot, ok := s.ids.find(id)
+	if !ok {
+		return Extent{}, 0, false
+	}
+	e := &s.ids.ents[slot]
+	return e.ext, e.tag, true
 }
 
 // ForEach calls fn for every live object in address order.
@@ -236,14 +249,9 @@ func (s *Space) checkTarget(ext Extent, id ID, moving bool, selfExt Extent) erro
 	return nil
 }
 
-// removePlacement deletes the placement for id at extent ext. The exact
-// lookup panics on index/map desync (see pindex.find).
-func (s *Space) removePlacement(id ID, ext Extent) {
-	s.byStart.removeAt(s.byStart.find(id, ext))
-}
-
-// relocatePlacement moves id's entry, tag included, from extent old to
-// extent ext. Single moves outside flush plans (log drains,
+// relocatePlacement moves id's entry, tag and slot included, from extent
+// old to extent ext. The exact lookup panics on an index desync (see
+// pindex.find). Single moves outside flush plans (log drains,
 // defragmentation) take this path; flushes go through ApplyMoves.
 func (s *Space) relocatePlacement(id ID, old, ext Extent) {
 	at := s.byStart.find(id, old)
@@ -279,14 +287,19 @@ func (s *Space) PlaceTagged(id ID, ext Extent, tag int32) error {
 	if id == 0 {
 		return fmt.Errorf("addrspace: id must be non-zero")
 	}
-	if _, dup := s.objects[id]; dup {
+	slot, dup := s.ids.probe(id)
+	if dup {
 		return fmt.Errorf("%w: %d", ErrDuplicate, id)
 	}
 	if err := s.checkTarget(ext, id, false, Extent{}); err != nil {
 		return err
 	}
-	s.objects[id] = ext
-	s.byStart.insert(placement{id: id, ext: ext, tag: tag})
+	if !s.ids.fits(slot) {
+		s.rebuildIDs()
+		slot, _ = s.ids.probe(id)
+	}
+	s.ids.put(slot, idEntry{id: id, ext: ext, tag: tag})
+	s.byStart.insert(placement{id: id, ext: ext, tag: tag, slot: slot})
 	s.stampCells(ext, id)
 	if s.data != nil {
 		// Make the extent addressable; the payload content is whatever
@@ -304,10 +317,11 @@ func (s *Space) PlaceTagged(id ID, ext Extent, tag int32) error {
 // freed-since-checkpoint space under the checkpoint rule; its cells keep
 // the object's data (a ghost copy) until something overwrites them.
 func (s *Space) Move(id ID, newStart int64) error {
-	old, ok := s.objects[id]
+	slot, ok := s.ids.find(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
+	old := s.ids.ents[slot].ext
 	if newStart == old.Start {
 		return nil
 	}
@@ -316,7 +330,7 @@ func (s *Space) Move(id ID, newStart int64) error {
 		return err
 	}
 	s.relocatePlacement(id, old, ext)
-	s.objects[id] = ext
+	s.ids.ents[slot].ext = ext
 	s.stampCells(ext, id)
 	if s.data != nil {
 		s.data.Copy(ext.Start, old.Start, old.Size)
@@ -337,12 +351,13 @@ func (s *Space) Move(id ID, newStart int64) error {
 // Remove frees the object's space. Under the checkpoint rule the extent
 // joins the freed-since-checkpoint set; its cells keep the ghost data.
 func (s *Space) Remove(id ID) error {
-	old, ok := s.objects[id]
+	slot, ok := s.ids.find(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
-	delete(s.objects, id)
-	s.removePlacement(id, old)
+	old := s.ids.ents[slot].ext
+	s.ids.remove(slot)
+	s.byStart.removeAt(s.byStart.find(id, old))
 	s.volume -= old.Size
 	if s.opts.CheckpointRule {
 		s.freed.add(old)
@@ -393,13 +408,13 @@ func (s *Space) HoldsData(id ID, ext Extent) bool {
 }
 
 // Verify exhaustively re-checks structural invariants: sortedness,
-// pairwise disjointness, map/index agreement, and volume accounting.
+// pairwise disjointness, id table/index agreement, and volume accounting.
 // Tests call it after mutating sequences.
 func (s *Space) Verify() error {
-	if s.byStart.len() != len(s.objects) {
-		return fmt.Errorf("addrspace: index has %d entries, map has %d", s.byStart.len(), len(s.objects))
-	}
 	if err := s.byStart.verify(); err != nil {
+		return err
+	}
+	if err := s.verifyIDs(); err != nil {
 		return err
 	}
 	var vol int64
@@ -412,10 +427,6 @@ func (s *Space) Verify() error {
 		}
 		if p.ext.Size < 1 || p.ext.Start < 0 {
 			verr = fmt.Errorf("addrspace: object %d has bad extent %v", p.id, p.ext)
-			return
-		}
-		if got := s.objects[p.id]; got != p.ext {
-			verr = fmt.Errorf("addrspace: object %d extent mismatch: map %v index %v", p.id, got, p.ext)
 			return
 		}
 		if havePrev && prev.ext.End() > p.ext.Start {

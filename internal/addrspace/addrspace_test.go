@@ -3,6 +3,7 @@ package addrspace
 import (
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -253,6 +254,16 @@ func TestIndexDesyncPanics(t *testing.T) {
 		blk[0].id, blk[1].id = blk[1].id, blk[0].id
 	}
 	mustPanic("wrong id", swap, func(s *Space) error { return s.Remove(1) })
+	// Point an index entry at another object's id table slot: the flush
+	// commit writes the table by slot and must refuse to.
+	reslot := func(s *Space) {
+		blk := s.byStart.blocks[0]
+		blk[1].slot = blk[2].slot
+	}
+	mustPanic("commit", reslot, func(s *Space) error {
+		_, _, err := s.ApplyMoves([]Relocation{{ID: 2, To: 40, Ref: 1}}, 0, nil, 1<<40, nil)
+		return err
+	})
 }
 
 func TestSubtract(t *testing.T) {
@@ -430,13 +441,41 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesCorruption corrupts internals deliberately, once per
+// check, and asserts Verify names the damage.
 func TestVerifyCatchesCorruption(t *testing.T) {
-	s := New(RAM())
-	_ = s.Place(1, Extent{0, 5})
-	_ = s.Place(2, Extent{10, 5})
-	// Corrupt internals deliberately.
-	s.byStart.blocks[0][0].ext.Size = 100
-	if err := s.Verify(); err == nil {
-		t.Fatal("Verify missed an index/map mismatch")
+	cases := []struct {
+		name    string
+		corrupt func(s *Space)
+		want    string
+	}{
+		{"index extent", func(s *Space) { s.byStart.blocks[0][0].ext.Size = 100 }, "id table has"},
+		{"index slot", func(s *Space) {
+			blk := s.byStart.blocks[0]
+			blk[0].slot = blk[1].slot
+		}, "probe finds"},
+		{"table extent", func(s *Space) { s.ids.ents[s.byStart.blocks[0][1].slot].ext.Start++ }, "id table has"},
+		{"table tag", func(s *Space) { s.ids.ents[s.byStart.blocks[0][1].slot].tag++ }, "id table has"},
+		{"live count", func(s *Space) { s.ids.live++ }, "objects, counts"},
+		{"tombstone count", func(s *Space) { s.ids.tombs-- }, "tombstones, counts"},
+	}
+	for _, c := range cases {
+		s := New(RAM())
+		for i, ext := range []Extent{{0, 5}, {10, 5}, {20, 5}} {
+			if err := s.PlaceTagged(ID(i+1), ext, tagOf(ID(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Remove(3); err != nil { // leaves a tombstone
+			t.Fatal(err)
+		}
+		if err := s.Verify(); err != nil {
+			t.Fatalf("%s: baseline: %v", c.name, err)
+		}
+		c.corrupt(s)
+		err := s.Verify()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify reported %v, want mention of %q", c.name, err, c.want)
+		}
 	}
 }

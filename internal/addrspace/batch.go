@@ -311,16 +311,19 @@ func byStart(a, c placement) int {
 }
 
 // executeBulk is pass 2 of a bulk batch: it applies plan[:consumed] using
-// the scratch simulatePlan populated, then commits the object map and
+// the scratch simulatePlan populated, then commits the id table and
 // splices the pre-merged suffix into the index. Nothing in it can fail, so
-// counters, cell stamps, the object map, and the freed set evolve exactly
+// counters, cell stamps, the id table, and the freed set evolve exactly
 // as the per-move path would evolve them. The footprint after each
 // relocation is the larger of two sources: the rightmost suffix entry
 // whose object has not moved yet (index ends are sorted, so a
 // right-to-left cursor suffices, stepped over moved ranks), and the max
-// valid entry of a heap fed by every applied move. The object map is
+// valid entry of a heap fed by every applied move. The id table is
 // synced lazily: eagerly only when a checkpoint exposes positions to
-// observers, in bulk otherwise.
+// observers, in bulk otherwise. Either way it is written by the slot each
+// suffix entry records, without hashing: the suffix was flattened in this
+// batch, or, for a session, under an index generation no table rebuild
+// has moved on from.
 func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutPos pos, emit func(MoveResult)) (volume int64) {
 	// The last untouched entry has the largest end among them; only it can
 	// reach into the merged zone, and it is the footprint floor once every
@@ -348,7 +351,7 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 		if s.opts.CheckpointRule && s.freed.intersects(target) {
 			s.blockedWrites++
 			// Observers snapshot object positions on checkpoint events:
-			// bring the map up to date with every move applied so far.
+			// bring the table up to date with every move applied so far.
 			b.syncObjects(s, plan, synced, k)
 			synced, midSync = k, true
 			s.Checkpoint()
@@ -408,16 +411,17 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 	}
 
 	// Commit. After a mid-batch sync every touched object must be
-	// re-synced (an intermediate position may already be in the map);
+	// re-synced (an intermediate position may already be in the table);
 	// otherwise only the net-moved ones need their final extents written.
 	if midSync {
 		for _, ref := range b.touched {
-			p := b.suffix[ref]
-			s.objects[p.id] = Extent{Start: b.curStart[ref], Size: p.ext.Size}
+			p := &b.suffix[ref]
+			s.ids.setExt(p.slot, p.id, Extent{Start: b.curStart[ref], Size: p.ext.Size})
 		}
 	} else {
-		for _, f := range b.finals {
-			s.objects[f.id] = f.ext
+		for i := range b.finals {
+			f := &b.finals[i]
+			s.ids.setExt(f.slot, f.id, f.ext)
 		}
 	}
 	s.byStart.replaceSuffix(cutPos, b.merged)
@@ -425,15 +429,16 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 }
 
 // syncObjects writes the positions of plan steps [from, upto) into the
-// object map, in order, so superseded intermediate positions resolve to
-// the latest applied one.
+// id table, in order, so superseded intermediate positions resolve to the
+// latest applied one.
 func (b *batchState) syncObjects(s *Space, plan []Relocation, from, upto int) {
 	for i := from; i < upto; i++ {
 		mv := plan[i]
 		if mv.To == b.oldSteps[i] {
 			continue
 		}
-		s.objects[mv.ID] = Extent{Start: mv.To, Size: b.suffix[mv.Ref].ext.Size}
+		p := &b.suffix[mv.Ref]
+		s.ids.setExt(p.slot, mv.ID, Extent{Start: mv.To, Size: p.ext.Size})
 	}
 }
 

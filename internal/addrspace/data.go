@@ -25,7 +25,7 @@ func (s *Space) HasData() bool { return s.data != nil && s.data.Real() }
 // WriteData copies p into object id's payload, starting at the object's
 // first cell. len(p) must not exceed the object's size.
 func (s *Space) WriteData(id ID, p []byte) error {
-	ext, ok := s.objects[id]
+	ext, ok := s.Extent(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
@@ -42,7 +42,7 @@ func (s *Space) WriteData(id ID, p []byte) error {
 // ReadData copies object id's payload into p, starting at the object's
 // first cell, and returns how many bytes were copied: min(len(p), size).
 func (s *Space) ReadData(id ID, p []byte) (int, error) {
-	ext, ok := s.objects[id]
+	ext, ok := s.Extent(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
@@ -63,7 +63,7 @@ func (s *Space) ReadData(id ID, p []byte) (int, error) {
 // It returns false for unknown objects and spaces without a real
 // backend.
 func (s *Space) DataBytes(id ID) ([]byte, bool) {
-	ext, ok := s.objects[id]
+	ext, ok := s.Extent(id)
 	if !ok || !s.HasData() {
 		return nil, false
 	}

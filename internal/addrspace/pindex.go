@@ -156,7 +156,7 @@ func (x *pindex) removeAt(p pos) {
 
 // find resolves the position of id, known to live at ext. Live starts are
 // unique, so the exact search either lands on the entry or the index and
-// the object map have desynced — a corrupted structure no defensive walk
+// the id table have desynced — a corrupted structure no defensive walk
 // should paper over, so it panics.
 func (x *pindex) find(id ID, ext Extent) pos {
 	p := x.lowerBound(ext.Start)
@@ -171,6 +171,16 @@ func (x *pindex) forEach(fn func(p placement)) {
 	for _, blk := range x.blocks {
 		for _, p := range blk {
 			fn(p)
+		}
+	}
+}
+
+// forEachPtr visits entries in address order by pointer, for edits that
+// leave starts unchanged (the id table rebuild rewriting slots).
+func (x *pindex) forEachPtr(fn func(p *placement)) {
+	for _, blk := range x.blocks {
+		for i := range blk {
+			fn(&blk[i])
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // index entry (one O(log n) probe plus an O(B) block edit, B the constant
 // block size), so a chunk of volume q costs O(q/w·(log n + B)) for moves
 // of size w — independent of the structure size — while the index, the
-// object map, counters, cell stamps, and the freed set stay exactly as
+// id table, counters, cell stamps, and the freed set stay exactly as
 // per-move execution would leave them after every chunk. A first Advance
 // whose budget covers the whole remaining plan takes the bulk
 // flatten-merge path instead, which is strictly cheaper for atomic
@@ -99,7 +99,7 @@ func (ms *MoveSession) Remaining() int { return len(ms.plan) - ms.next }
 // each relocation is checked against its index neighbors and a violation
 // fails the call with the offending move unapplied and the index still
 // consistent; without one, the chunk-end reconciliation detects the
-// overlap after per-move state (counters, freed set, object map) has
+// overlap after per-move state (counters, freed set, id table) has
 // already advanced and panics rather than leave a silently corrupt index
 // behind — the same philosophy as the exact-search desync panic in find.
 func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed int, volume int64, err error) {
@@ -155,7 +155,7 @@ func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed in
 
 // advanceBatched is Advance's unobserved fast path. Per relocation it
 // evolves everything except the index — checkpoint blocking, the freed
-// set, cell stamps, counters, and the eagerly synced object map, in plan
+// set, cell stamps, counters, and the eagerly synced id table, in plan
 // order, exactly as the per-move path does — then reconciles the index
 // once: each object's entry moves from its position at chunk start to its
 // position at chunk end (intermediate hops within the chunk are
@@ -163,6 +163,11 @@ func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed in
 // chunks relocate address-contiguous runs, so the edits collapse into a
 // handful of block splices: O(moves + B + log n) per chunk instead of a
 // tail memmove and three searches per move.
+//
+// Placements between chunks (the update log) can rebuild the id table,
+// which moves every slot, so each relocation looks its slot up by id and
+// refreshes the session's snapshot entry before the chunk-end reinsert
+// copies it into the index.
 func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64, err error) {
 	s := ms.s
 	b := ms.b
@@ -188,7 +193,9 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 			b.chunkFrom[mv.Ref] = oldStart
 			refs = append(refs, mv.Ref)
 		}
-		s.objects[mv.ID] = target
+		slot := s.slotOf(mv.ID)
+		s.ids.ents[slot].ext = target
+		b.suffix[mv.Ref].slot = slot
 		s.stampCells(target, mv.ID)
 		if s.data != nil {
 			s.data.Copy(target.Start, oldStart, size)
@@ -223,7 +230,7 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 	slices.SortFunc(ins, byStart)
 	s.byStart.removeStarts(dels)
 	if err := s.byStart.insertRuns(ins); err != nil {
-		// Counters, the freed set, and the object map already advanced and
+		// Counters, the freed set, and the id table already advanced and
 		// part of the reconciliation may have landed: there is no
 		// consistent state to report an error from. A schedule with an
 		// overlapping intermediate layout is a bug in its builder; fail
@@ -238,9 +245,10 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 }
 
 // applyOne executes a single validated relocation with an incremental
-// index splice that keeps the entry's tag, evolving the Space exactly as
-// Move would: transparent checkpoint blocking, freed-set growth, cell
-// stamps, counters, and an eagerly synced object map.
+// index splice that keeps the entry's tag and slot, evolving the Space
+// exactly as Move would: transparent checkpoint blocking, freed-set
+// growth, cell stamps, counters, and an eagerly synced id table, written
+// by the slot the live index entry records.
 func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResult)) error {
 	old := Extent{Start: oldStart, Size: size}
 	target := Extent{Start: mv.To, Size: size}
@@ -274,7 +282,7 @@ func (s *Space) applyOne(mv Relocation, oldStart, size int64, emit func(MoveResu
 	}
 	entry.ext = target
 	s.byStart.insert(entry)
-	s.objects[mv.ID] = target
+	s.ids.setExt(entry.slot, mv.ID, target)
 	s.stampCells(target, mv.ID)
 	if s.opts.CheckpointRule {
 		var pieces [2]Extent

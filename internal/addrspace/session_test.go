@@ -217,7 +217,9 @@ func TestSessionBulkFirstChunk(t *testing.T) {
 // TestSessionMidPlacements: placing and removing objects beyond the plan's
 // range between chunks (the update log's behavior) must leave the session
 // unaffected, the index consistent, and every entry's tag in place, on
-// the batched and the observed chunk paths.
+// the batched and the observed chunk paths. After the first chunk enough
+// objects are placed to rebuild the id table, which moves slots under the
+// session's feet.
 func TestSessionMidPlacements(t *testing.T) {
 	for _, emit := range []func(MoveResult){nil, func(MoveResult) {}} {
 		s := New(Durable())
@@ -244,9 +246,33 @@ func TestSessionMidPlacements(t *testing.T) {
 		}
 		logBase := int64(200)
 		logID := ID(1000)
+		rebuilt := false
 		for !sess.Done() {
 			if _, _, err := sess.Advance(5, emit); err != nil {
 				t.Fatal(err)
+			}
+			if !rebuilt && !sess.Done() {
+				slots := map[ID]int32{}
+				s.byStart.forEach(func(p placement) { slots[p.id] = p.slot })
+				for rebuilds := s.IDRebuilds(); s.IDRebuilds() == rebuilds; logID++ {
+					if logID > 2000 {
+						t.Fatal("no id table rebuild after 1000 placements")
+					}
+					if err := s.PlaceTagged(logID, Extent{Start: logBase, Size: 3}, tagOf(logID)); err != nil {
+						t.Fatalf("mid-session place: %v", err)
+					}
+					logBase += 3
+				}
+				moved := false
+				s.byStart.forEach(func(p placement) {
+					if old, ok := slots[p.id]; ok && old != p.slot {
+						moved = true
+					}
+				})
+				if !moved {
+					t.Fatal("id table rebuilt without moving any slot")
+				}
+				rebuilt = true
 			}
 			// Log-style traffic past the plan's range.
 			if err := s.PlaceTagged(logID, Extent{Start: logBase, Size: 3}, tagOf(logID)); err != nil {
@@ -263,6 +289,9 @@ func TestSessionMidPlacements(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkTags(t, s)
+		}
+		if !rebuilt {
+			t.Fatal("the session finished before an id table rebuild")
 		}
 		if err := sess.Commit(); err != nil {
 			t.Fatal(err)

@@ -12,6 +12,10 @@ func ClassOf(w int64) int {
 	return bits.Len64(uint64(w)) - 1
 }
 
+// numClasses bounds the classes of positive int64 sizes: ClassOf(w) <
+// numClasses for every w >= 1.
+const numClasses = 64
+
 // ClassMin returns the smallest size in class c.
 func ClassMin(c int) int64 { return int64(1) << uint(c) }
 

@@ -129,9 +129,11 @@ const recPageBits = 10
 
 // records holds the engine's object records in fixed-size pages; a
 // record's tag is its page and slot. The tag rides on the object's
-// substrate index entry, so a flush walking the index resolves records
-// without probing the id map. Pages never move, so *object pointers stay
-// valid for a record's lifetime; removed records' tags are reused.
+// substrate index entry and id table entry, so a flush walking the index
+// resolves records without hashing, and a point operation resolves them
+// with the substrate's one id probe (Space.Lookup). Pages never move, so
+// *object pointers stay valid for a record's lifetime; removed records'
+// tags are reused.
 type records struct {
 	pages []*[1 << recPageBits]object
 	free  []int32
@@ -227,13 +229,12 @@ type Reallocator struct {
 	// has no audience; state evolution is identical either way).
 	nullRec bool
 
-	objs    map[ID]*object
-	recs    records   // the records objs points into
+	recs    records   // object records; index entries carry their tags
 	regions []*region // ascending class order
 	tailBuf *tail     // Deamortized only
 
 	vol        int64 // total live volume V
-	volByClass map[int]int64
+	volByClass [numClasses]int64
 	delta      int64 // largest object size ever inserted (the paper's ∆)
 
 	flushes int64
@@ -310,14 +311,12 @@ func New(cfg Config) (*Reallocator, error) {
 	}
 	_, nullRec := rec.(trace.Null)
 	r := &Reallocator{
-		cfg:        cfg,
-		eps:        eps,
-		space:      addrspace.New(opts),
-		rec:        rec,
-		nullRec:    nullRec,
-		tel:        cfg.Telemetry,
-		objs:       make(map[ID]*object),
-		volByClass: make(map[int]int64),
+		cfg:     cfg,
+		eps:     eps,
+		space:   addrspace.New(opts),
+		rec:     rec,
+		nullRec: nullRec,
+		tel:     cfg.Telemetry,
 	}
 	if cfg.Variant == Deamortized {
 		r.tailBuf = &tail{}
@@ -365,7 +364,7 @@ func (r *Reallocator) StructSize() int64 {
 func (r *Reallocator) Delta() int64 { return r.delta }
 
 // Len returns the number of live objects.
-func (r *Reallocator) Len() int { return len(r.objs) }
+func (r *Reallocator) Len() int { return r.space.Len() }
 
 // Flushes returns how many buffer flushes have been triggered.
 func (r *Reallocator) Flushes() int64 { return r.flushes }
@@ -401,20 +400,30 @@ func (r *Reallocator) Extent(id ID) (addrspace.Extent, bool) {
 	return r.space.Extent(id)
 }
 
-// Has reports whether id is live (a logged, not-yet-drained delete still
-// counts as live, matching the paper's definition of active).
+// Has reports whether id is live from the caller's side. A delete logged
+// during an active flush is done as far as the caller is concerned, so
+// Has reports false at once, while Len and Volume keep counting the
+// object until the drain applies the delete.
 func (r *Reallocator) Has(id ID) bool {
-	o, ok := r.objs[id]
+	o, ok := r.record(id)
 	return ok && !o.deletePending
 }
 
 // SizeOf returns the size of object id.
 func (r *Reallocator) SizeOf(id ID) (int64, bool) {
-	o, ok := r.objs[id]
+	ext, ok := r.space.Extent(id)
+	return ext.Size, ok
+}
+
+// record returns id's record, resolved through the tag on its index
+// entry. Every object is placed from insert to delete, except a Section 2
+// flush trigger inside its own Insert.
+func (r *Reallocator) record(id ID) (*object, bool) {
+	_, tag, ok := r.space.Lookup(id)
 	if !ok {
-		return 0, false
+		return nil, false
 	}
-	return o.size, true
+	return r.recs.at(tag), true
 }
 
 // ForEach visits every live object in address order.
@@ -510,7 +519,8 @@ func (r *Reallocator) applyPlanSerial(moves []addrspace.Relocation, budget int64
 			return i + 1, vol, err
 		}
 		if moved {
-			vol += r.objs[m.ID].size
+			size, _ := r.SizeOf(m.ID)
+			vol += size
 		}
 	}
 	return len(moves), vol, nil

@@ -90,19 +90,26 @@ func TestCheckerCatchesForeignBufferItem(t *testing.T) {
 
 func TestCheckerCatchesObjectKeyDesync(t *testing.T) {
 	r := corruptible(t)
-	// Rebind an object record under a foreign map key.
-	for id, o := range r.objs {
-		delete(r.objs, id)
-		r.objs[id+1000] = o
-		expectViolation(t, r, "map key")
+	// Rename an object's record behind its index entry's back.
+	for id, o := range r.objects() {
+		o.id = id + 1000
+		expectViolation(t, r, "carries tag")
 		return
 	}
+}
+
+func TestCheckerCatchesLeakedRecord(t *testing.T) {
+	r := corruptible(t)
+	// A live record that no index entry names.
+	o := r.recs.take()
+	o.id, o.size, o.class, o.place = 4242, 2, ClassOf(2), inPayload
+	expectViolation(t, r, "live records")
 }
 
 func TestCheckerCatchesSubstrateDesync(t *testing.T) {
 	r := corruptible(t)
 	// Remove the physical placement behind the bookkeeping's back.
-	for id := range r.objs {
+	for id := range r.objects() {
 		if err := r.space.Remove(id); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +124,7 @@ func TestCheckerCatchesStaleTag(t *testing.T) {
 	r := corruptible(t)
 	// Re-place one object at its own extent under another record's tag.
 	var victim, other *object
-	for _, o := range r.objs {
+	for _, o := range r.objects() {
 		if victim == nil {
 			victim = o
 		} else {

@@ -57,7 +57,6 @@ func (r *Reallocator) logInsert(id ID, size int64) error {
 	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: size}); err != nil {
 		return err
 	}
-	r.objs[id] = obj
 	r.vol += size
 	r.volByClass[obj.class] += size
 	if size > r.delta {
@@ -79,7 +78,6 @@ func (r *Reallocator) logDelete(obj *object) error {
 		}
 		r.vol -= obj.size
 		r.volByClass[obj.class] -= obj.size
-		delete(r.objs, obj.id)
 		r.emit(trace.KDelete, obj.id, obj.size, 0, 0)
 		r.recs.put(obj)
 		return nil
@@ -171,7 +169,6 @@ func (r *Reallocator) drainDelete(obj *object) error {
 	obj.deletePending = false
 	r.vol -= obj.size
 	r.volByClass[obj.class] -= obj.size
-	delete(r.objs, obj.id)
 
 	switch obj.place {
 	case inBuffer:

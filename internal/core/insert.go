@@ -17,7 +17,7 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 	if id == 0 {
 		return ErrBadID
 	}
-	if _, dup := r.objs[id]; dup {
+	if _, dup := r.space.Extent(id); dup {
 		return fmt.Errorf("%w: %d", ErrDuplicate, id)
 	}
 
@@ -53,7 +53,6 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 	r.volByClass[c] += size
 	obj := r.recs.take()
 	obj.id, obj.size, obj.class, obj.place = id, size, c, inLimbo
-	r.objs[id] = obj
 
 	if err := r.insertPlaced(obj, quota); err != nil {
 		return err
@@ -196,7 +195,7 @@ func (r *Reallocator) placeTrigger(obj *object) error {
 
 // Delete services a 〈DeleteObject, id〉 request.
 func (r *Reallocator) Delete(id ID) error {
-	obj, ok := r.objs[id]
+	obj, ok := r.record(id)
 	if !ok || obj.deletePending {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
@@ -232,7 +231,6 @@ func (r *Reallocator) Delete(id ID) error {
 func (r *Reallocator) deleteNow(obj *object, quota int64) error {
 	r.vol -= obj.size
 	r.volByClass[obj.class] -= obj.size
-	delete(r.objs, obj.id)
 
 	switch obj.place {
 	case inBuffer:

@@ -85,86 +85,32 @@ func (r *Reallocator) checkRegions() error {
 	return nil
 }
 
-// checkObjects validates each object's placement record against the
-// physical substrate. Positional checks are skipped mid-flush and under
-// the dirty flag, when bookkeeping intentionally runs ahead of physics.
+// checkObjects validates each object's record against the physical
+// substrate, walking the tagged index entries: every entry's tag must
+// name the live record with the entry's id and size, and there must be
+// as many live records as placed objects, so no record is left unplaced.
+// Positional checks are skipped mid-flush and under the dirty flag, when
+// bookkeeping intentionally runs ahead of physics.
 func (r *Reallocator) checkObjects() error {
 	quiescent := r.plan == nil && !r.dirty
-	var payLive = map[int]int64{}
-	for id, o := range r.objs {
-		if o.id != id {
-			return fmt.Errorf("core: object map key %d holds object %d", id, o.id)
+	var payLive [numClasses]int64
+	var err error
+	r.space.ForEachTagged(func(id ID, ext addrspace.Extent, tag int32) {
+		if err == nil {
+			err = r.checkObject(id, ext, tag, quiescent, &payLive)
 		}
-		if o.size < 1 || ClassOf(o.size) != o.class {
-			return fmt.Errorf("core: object %d size/class mismatch (%d, %d)", id, o.size, o.class)
+	})
+	if err != nil {
+		return err
+	}
+	live := 0
+	for tag := range r.recs.used {
+		if r.recs.at(tag).id != 0 {
+			live++
 		}
-		ext, ok := r.space.Extent(id)
-		if !ok {
-			return fmt.Errorf("core: object %d has no physical placement", id)
-		}
-		if ext.Size != o.size {
-			return fmt.Errorf("core: object %d physical size %d != logical %d", id, ext.Size, o.size)
-		}
-		switch o.place {
-		case inPayload:
-			payLive[o.class] += o.size
-			if !quiescent {
-				continue
-			}
-			idx, ok := r.regionIndex(o.class)
-			if !ok {
-				return fmt.Errorf("core: payload object %d of class %d has no region", id, o.class)
-			}
-			reg := r.regions[idx]
-			if ext.Start < reg.payStart || ext.End() > reg.payStart+reg.paySize {
-				return fmt.Errorf("core: object %d at %v outside class-%d payload [%d,%d) (Invariant 2.2.3)",
-					id, ext, o.class, reg.payStart, reg.payStart+reg.paySize)
-			}
-		case inBuffer:
-			if !quiescent {
-				continue
-			}
-			var start, fill int64
-			var regClass int
-			if o.bufClass == tailBuffer {
-				if r.tailBuf == nil {
-					return fmt.Errorf("core: object %d claims tail buffer in non-deamortized variant", id)
-				}
-				start, fill = r.tailBuf.start, r.tailBuf.fill
-				regClass = maxClassSentinel
-				if o.bufIdx >= len(r.tailBuf.items) || r.tailBuf.items[o.bufIdx].id != id {
-					return fmt.Errorf("core: object %d tail item entry mismatch", id)
-				}
-			} else {
-				idx, ok := r.regionIndex(o.bufClass)
-				if !ok {
-					return fmt.Errorf("core: buffered object %d references missing region %d", id, o.bufClass)
-				}
-				reg := r.regions[idx]
-				start, fill = reg.bufStart(), reg.bufFill
-				regClass = reg.class
-				if o.bufIdx >= len(reg.items) || reg.items[o.bufIdx].id != id {
-					return fmt.Errorf("core: object %d buffer item entry mismatch", id)
-				}
-			}
-			if o.class > regClass {
-				return fmt.Errorf("core: class-%d object %d buffered in class-%d buffer (Invariant 2.2.4)", o.class, id, regClass)
-			}
-			if ext.Start < start || ext.End() > start+fill {
-				return fmt.Errorf("core: buffered object %d at %v outside buffer fill [%d,%d)", id, ext, start, start+fill)
-			}
-		case inLog:
-			if r.plan == nil {
-				return fmt.Errorf("core: object %d in log with no flush active (Invariant 2.3)", id)
-			}
-			if ext.Start < r.log.base || ext.End() > r.log.end {
-				return fmt.Errorf("core: logged object %d at %v outside log [%d,%d)", id, ext, r.log.base, r.log.end)
-			}
-		case inOverflow:
-			return fmt.Errorf("core: object %d in overflow segment outside a flush (Invariant 2.3)", id)
-		default:
-			return fmt.Errorf("core: object %d in limbo", id)
-		}
+	}
+	if live != r.space.Len() {
+		return fmt.Errorf("core: %d live records, %d placed objects", live, r.space.Len())
 	}
 	if quiescent {
 		for _, reg := range r.regions {
@@ -173,30 +119,95 @@ func (r *Reallocator) checkObjects() error {
 			}
 		}
 	}
-	// Flush planning resolves records through index tags alone: every
-	// entry's tag must name the live record with the entry's id and size.
-	var terr error
-	r.space.ForEachTagged(func(id ID, ext addrspace.Extent, tag int32) {
-		if terr != nil {
-			return
-		}
-		if tag < 0 || tag >= r.recs.used {
-			terr = fmt.Errorf("core: object %d at %v carries tag %d, past the %d records", id, ext, tag, r.recs.used)
-		} else if o := r.recs.at(tag); o.id != id || o.size != ext.Size || r.objs[id] != o {
-			terr = fmt.Errorf("core: object %d at %v carries tag %d, whose record is object %d of size %d", id, ext, tag, o.id, o.size)
-		}
-	})
-	return terr
+	return nil
 }
 
-// checkVolumes validates V and per-class volume accounting.
+// checkObject validates the record behind one tagged index entry, adding
+// payload objects' volume into payLive.
+func (r *Reallocator) checkObject(id ID, ext addrspace.Extent, tag int32, quiescent bool, payLive *[numClasses]int64) error {
+	if tag < 0 || tag >= r.recs.used {
+		return fmt.Errorf("core: object %d at %v carries tag %d, past the %d records", id, ext, tag, r.recs.used)
+	}
+	o := r.recs.at(tag)
+	if o.id != id || o.size != ext.Size {
+		return fmt.Errorf("core: object %d at %v carries tag %d, whose record is object %d of size %d", id, ext, tag, o.id, o.size)
+	}
+	if o.size < 1 || ClassOf(o.size) != o.class {
+		return fmt.Errorf("core: object %d size/class mismatch (%d, %d)", id, o.size, o.class)
+	}
+	switch o.place {
+	case inPayload:
+		payLive[o.class] += o.size
+		if !quiescent {
+			return nil
+		}
+		idx, ok := r.regionIndex(o.class)
+		if !ok {
+			return fmt.Errorf("core: payload object %d of class %d has no region", id, o.class)
+		}
+		reg := r.regions[idx]
+		if ext.Start < reg.payStart || ext.End() > reg.payStart+reg.paySize {
+			return fmt.Errorf("core: object %d at %v outside class-%d payload [%d,%d) (Invariant 2.2.3)",
+				id, ext, o.class, reg.payStart, reg.payStart+reg.paySize)
+		}
+	case inBuffer:
+		if !quiescent {
+			return nil
+		}
+		var start, fill int64
+		var regClass int
+		if o.bufClass == tailBuffer {
+			if r.tailBuf == nil {
+				return fmt.Errorf("core: object %d claims tail buffer in non-deamortized variant", id)
+			}
+			start, fill = r.tailBuf.start, r.tailBuf.fill
+			regClass = maxClassSentinel
+			if o.bufIdx >= len(r.tailBuf.items) || r.tailBuf.items[o.bufIdx].id != id {
+				return fmt.Errorf("core: object %d tail item entry mismatch", id)
+			}
+		} else {
+			idx, ok := r.regionIndex(o.bufClass)
+			if !ok {
+				return fmt.Errorf("core: buffered object %d references missing region %d", id, o.bufClass)
+			}
+			reg := r.regions[idx]
+			start, fill = reg.bufStart(), reg.bufFill
+			regClass = reg.class
+			if o.bufIdx >= len(reg.items) || reg.items[o.bufIdx].id != id {
+				return fmt.Errorf("core: object %d buffer item entry mismatch", id)
+			}
+		}
+		if o.class > regClass {
+			return fmt.Errorf("core: class-%d object %d buffered in class-%d buffer (Invariant 2.2.4)", o.class, id, regClass)
+		}
+		if ext.Start < start || ext.End() > start+fill {
+			return fmt.Errorf("core: buffered object %d at %v outside buffer fill [%d,%d)", id, ext, start, start+fill)
+		}
+	case inLog:
+		if r.plan == nil {
+			return fmt.Errorf("core: object %d in log with no flush active (Invariant 2.3)", id)
+		}
+		if ext.Start < r.log.base || ext.End() > r.log.end {
+			return fmt.Errorf("core: logged object %d at %v outside log [%d,%d)", id, ext, r.log.base, r.log.end)
+		}
+	case inOverflow:
+		return fmt.Errorf("core: object %d in overflow segment outside a flush (Invariant 2.3)", id)
+	default:
+		return fmt.Errorf("core: object %d in limbo", id)
+	}
+	return nil
+}
+
+// checkVolumes validates V and per-class volume accounting against the
+// records the tagged index entries name (checkObjects has vetted them).
 func (r *Reallocator) checkVolumes() error {
-	byClass := map[int]int64{}
+	var byClass [numClasses]int64
 	var total int64
-	for _, o := range r.objs {
+	r.space.ForEachTagged(func(_ ID, _ addrspace.Extent, tag int32) {
+		o := r.recs.at(tag)
 		byClass[o.class] += o.size
 		total += o.size
-	}
+	})
 	if total != r.vol {
 		return fmt.Errorf("core: volume accounting: tracked %d, actual %d", r.vol, total)
 	}
@@ -206,11 +217,6 @@ func (r *Reallocator) checkVolumes() error {
 		}
 		if byClass[c] != v {
 			return fmt.Errorf("core: class %d volume: tracked %d, actual %d", c, v, byClass[c])
-		}
-	}
-	for c, v := range byClass {
-		if r.volByClass[c] != v {
-			return fmt.Errorf("core: class %d volume missing from tracking", c)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"realloc/internal/addrspace"
 )
@@ -43,7 +42,7 @@ type layoutPlan struct {
 	newRegions  []*region
 	// regionAt holds, per size class, 1 + the class's newRegions index (0:
 	// the class has no region), so per-object lookups cost no search.
-	regionAt   [64]uint8
+	regionAt   [numClasses]uint8
 	newEnd     int64 // absolute end of the rebuilt suffix (payloads+buffers)
 	newTailCap int64 // deamortized: capacity of the new tail buffer
 }
@@ -60,12 +59,11 @@ func (r *Reallocator) computeLayout(b int) layoutPlan {
 		start = r.regions[idx-1].end()
 	}
 	classes := r.classBuf[:0]
-	for c, v := range r.volByClass {
-		if c >= b && v > 0 {
+	for c := max(b, 0); c < numClasses; c++ {
+		if r.volByClass[c] > 0 {
 			classes = append(classes, c)
 		}
 	}
-	sort.Ints(classes)
 	r.classBuf = classes
 	lp := layoutPlan{boundary: b, flushIdx: idx, suffixStart: start, newRegions: r.regionBuf[:0]}
 	pos := start

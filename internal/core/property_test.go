@@ -63,7 +63,7 @@ func TestDifferentialAllVariants(t *testing.T) {
 					// semantics); add the pending volume back in.
 					var pendingVol int64
 					pendingCnt := 0
-					for _, o := range r.objs {
+					for _, o := range r.objects() {
 						if o.deletePending {
 							pendingVol += o.size
 							pendingCnt++

@@ -103,6 +103,16 @@ func TestComputeLayout(t *testing.T) {
 	}
 }
 
+// objects maps every placed object's id to its record, read from the
+// substrate's tagged index entries.
+func (r *Reallocator) objects() map[ID]*object {
+	m := make(map[ID]*object)
+	r.space.ForEachTagged(func(id ID, _ addrspace.Extent, tag int32) {
+		m[id] = r.recs.at(tag)
+	})
+	return m
+}
+
 // flushMoveCounter counts each object's moves within the current flush.
 // At KFlushStart, before any move, it reads which objects sit in a
 // buffer from their records.
@@ -122,7 +132,7 @@ func (c *flushMoveCounter) Record(e trace.Event) {
 		c.inFlush = true
 		clear(c.moves)
 		clear(c.buffered)
-		for id, o := range c.r.objs {
+		for id, o := range c.r.objects() {
 			if o.place == inBuffer {
 				c.buffered[id] = true
 			}
@@ -378,7 +388,7 @@ func TestDeleteOfBufferedObject(t *testing.T) {
 	if err := r.Insert(2, 2); err != nil {
 		t.Fatal(err)
 	}
-	obj := r.objs[2]
+	obj := r.objects()[2]
 	if obj.place != inBuffer {
 		t.Fatalf("object 2 not buffered: %v", obj.place)
 	}
@@ -420,13 +430,13 @@ func TestDeamortizedLogAnnihilation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.plan != nil {
-		if r.objs[9001] == nil || r.objs[9001].place != inLog {
+		if o := r.objects()[9001]; o == nil || o.place != inLog {
 			t.Fatal("mid-flush insert should be logged")
 		}
 		if err := r.Delete(9001); err != nil {
 			t.Fatal(err)
 		}
-		if r.objs[9001] != nil {
+		if r.objects()[9001] != nil {
 			t.Fatal("annihilated object still present")
 		}
 		if r.Has(9001) {
@@ -450,7 +460,7 @@ func TestDeamortizedDeferredDelete(t *testing.T) {
 	}
 	// Find some object that predates the flush.
 	var victim ID
-	for id, o := range r.objs {
+	for id, o := range r.objects() {
 		if o.place == inPayload && !o.deletePending {
 			victim = id
 			break
