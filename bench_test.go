@@ -190,24 +190,34 @@ func BenchmarkChurnClassGap(b *testing.B)     { benchChurnTarget(b, baseline.New
 
 // BenchmarkChurnTelemetry prices the telemetry layer itself: the same
 // steady-state churn through the public facade with telemetry off and
-// on, for an amortized and a deamortized core. cmd/benchgate's
-// -overhead lane compares each on/off pair and fails CI when arming
-// telemetry costs more than 10% — the recording budget is two atomic
-// adds plus two clock reads per op.
+// on, for an amortized and a deamortized core, on the metered backend
+// (<variant>/off|on) and on the heap arena (<variant>_heap/off|on).
+// cmd/benchgate's -overhead lane compares each on/off pair and fails CI
+// when arming telemetry costs more than 10%. The recording budget is two
+// atomic adds plus two clock reads per op, and per flush a few histogram
+// records. No clock is read per copy: the substrate times each chunk of
+// moves on a real backend whether telemetry is on or off, so the heap
+// lanes see the recording cost and nothing else.
 func BenchmarkChurnTelemetry(b *testing.B) {
 	for _, v := range []realloc.Variant{realloc.Amortized, realloc.Deamortized} {
-		for _, mode := range []string{"off", "on"} {
-			b.Run(fmt.Sprintf("%s/%s", v, mode), func(b *testing.B) {
-				opts := []realloc.Option{realloc.WithEpsilon(0.25), realloc.WithVariant(v)}
-				if mode == "on" {
-					opts = append(opts, realloc.WithTelemetry(telemetry.NewRegistry()))
-				}
-				r, err := realloc.New(opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchChurnTargetVolume(b, publicAdapter{r}, 100000)
-			})
+		for _, bk := range []realloc.Backend{realloc.Metered, realloc.HeapArena} {
+			lane := v.String()
+			if bk != realloc.Metered {
+				lane += "_" + bk.String()
+			}
+			for _, mode := range []string{"off", "on"} {
+				b.Run(lane+"/"+mode, func(b *testing.B) {
+					opts := []realloc.Option{realloc.WithEpsilon(0.25), realloc.WithVariant(v), realloc.WithBackend(bk)}
+					if mode == "on" {
+						opts = append(opts, realloc.WithTelemetry(telemetry.NewRegistry()))
+					}
+					r, err := realloc.New(opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchChurnTargetVolume(b, publicAdapter{r}, 100000)
+				})
+			}
 		}
 	}
 }

@@ -120,6 +120,7 @@ type Space struct {
 	blockedWrites int64 // writes that observed ErrWouldBlock
 	moves         int64
 	places        int64
+	moveNanos     int64 // wall-clock time in batched move loops (real backends)
 }
 
 // New creates an empty Space with the given rules.

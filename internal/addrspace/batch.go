@@ -323,7 +323,8 @@ func byStart(a, c placement) int {
 // observers, in bulk otherwise. Either way it is written by the slot each
 // suffix entry records, without hashing: the suffix was flattened in this
 // batch, or, for a session, under an index generation no table rebuild
-// has moved on from.
+// has moved on from. On a real backend the move loop is timed as one
+// chunk (MoveNanos); the commit is not.
 func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutPos pos, emit func(MoveResult)) (volume int64) {
 	// The last untouched entry has the largest end among them; only it can
 	// reach into the merged zone, and it is the footprint floor once every
@@ -340,6 +341,7 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 	synced := 0
 	volume = 0
 	midSync := false
+	t0 := s.moveClock()
 	for k, mv := range plan[:consumed] {
 		oldStart := b.oldSteps[k]
 		if mv.To == oldStart {
@@ -409,6 +411,7 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 			s.data.Copy(target.Start, oldStart, size)
 		}
 	}
+	s.addMoveTime(t0)
 
 	// Commit. After a mid-batch sync every touched object must be
 	// re-synced (an intermediate position may already be in the table);

@@ -2,6 +2,7 @@ package addrspace
 
 import (
 	"fmt"
+	"time"
 
 	"realloc/internal/arena"
 )
@@ -21,6 +22,32 @@ func (s *Space) Data() arena.Backend { return s.data }
 // HasData reports whether the space has a real payload backend: one that
 // physically stores bytes, as opposed to the metered backend or none.
 func (s *Space) HasData() bool { return s.data != nil && s.data.Real() }
+
+// MoveNanos returns the cumulative wall-clock nanoseconds the batched
+// executors spent in their move loops on a real backend: one clock pair
+// per loop — an ApplyMoves batch, a session's bulk first chunk, or one
+// Advance chunk — covering the memmoves together with the per-move
+// bookkeeping and observer callbacks around them. No clock is read per
+// copy, per-move Move is not timed, and a space without real bytes
+// (metered or index-only) stays at 0.
+func (s *Space) MoveNanos() int64 { return s.moveNanos }
+
+// moveClock starts timing one move loop: the current time on a real
+// backend, the zero Time (nothing to time) otherwise.
+func (s *Space) moveClock() time.Time {
+	if !s.HasData() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// addMoveTime charges the loop started at t0 to MoveNanos; a zero t0
+// (untimed loop) reads no clock.
+func (s *Space) addMoveTime(t0 time.Time) {
+	if !t0.IsZero() {
+		s.moveNanos += int64(time.Since(t0))
+	}
+}
 
 // WriteData copies p into object id's payload, starting at the object's
 // first cell. len(p) must not exceed the object's size.

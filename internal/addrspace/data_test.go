@@ -265,3 +265,114 @@ func TestMeteredMatchesHeapCounters(t *testing.T) {
 		t.Fatal("no moves recorded")
 	}
 }
+
+// TestMoveNanos: the batched executors time each move loop as one chunk
+// on a real backend — an ApplyMoves batch, and every chunk of a
+// multi-chunk session on both the observed and unobserved paths — while
+// per-move Move and spaces without real bytes never advance the counter.
+func TestMoveNanos(t *testing.T) {
+	const n, size = 8, 1 << 16 // large copies: every loop takes measurable time
+	// park builds a space over data (nil: index-only) holding n
+	// contiguous objects, and a plan moving each past the frontier, bound
+	// to the whole index.
+	park := func(t *testing.T, data arena.Backend) (*Space, []Relocation) {
+		opts := RAM()
+		opts.Data = data
+		s := New(opts)
+		var plan []Relocation
+		for id := ID(1); id <= n; id++ {
+			if err := s.Place(id, Extent{Start: int64(id-1) * size, Size: size}); err != nil {
+				t.Fatal(err)
+			}
+			plan = append(plan, Relocation{ID: id, To: int64(n+id) * size})
+		}
+		return s, ranked(s, 0, plan)
+	}
+	backend := func(t *testing.T, kind arena.Kind) arena.Backend {
+		b, err := arena.New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	emit := func(MoveResult) {}
+	// chunked runs plan one move per Advance and reports whether every
+	// chunk advanced MoveNanos.
+	chunked := func(t *testing.T, s *Space, plan []Relocation, emit func(MoveResult)) (everyChunk bool) {
+		ms, err := s.BeginMoves(plan, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		everyChunk = true
+		chunks := 0
+		for !ms.Done() {
+			before := s.MoveNanos()
+			if _, _, err := ms.Advance(size, emit); err != nil {
+				t.Fatal(err)
+			}
+			chunks++
+			everyChunk = everyChunk && s.MoveNanos() > before
+		}
+		if chunks != len(plan) {
+			t.Fatalf("session ran %d chunks, want %d", chunks, len(plan))
+		}
+		if err := ms.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return everyChunk
+	}
+
+	t.Run("applyMoves", func(t *testing.T) {
+		s, plan := park(t, backend(t, arena.Heap))
+		if _, _, err := s.ApplyMoves(plan, 0, nil, 1<<40, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s.MoveNanos() <= 0 {
+			t.Fatalf("heap ApplyMoves left MoveNanos at %d", s.MoveNanos())
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		emit func(MoveResult)
+	}{{"sessionChunks", nil}, {"sessionChunksEmit", emit}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, plan := park(t, backend(t, arena.Heap))
+			if !chunked(t, s, plan, tc.emit) {
+				t.Fatal("a session chunk on a heap space did not advance MoveNanos")
+			}
+		})
+	}
+	t.Run("moveUntimed", func(t *testing.T) {
+		s, plan := park(t, backend(t, arena.Heap))
+		if _, _, err := s.ApplyMoves(plan[:1], 0, nil, 1<<40, nil); err != nil {
+			t.Fatal(err)
+		}
+		before := s.MoveNanos()
+		for id := ID(2); id <= n; id++ {
+			if err := s.Move(id, int64(n+id)*size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.MoveNanos(); got != before {
+			t.Fatalf("per-move Move changed MoveNanos %d -> %d", before, got)
+		}
+		if got, want := s.Data().Counters().BytesMoved, int64(n*size); got != want {
+			t.Fatalf("BytesMoved = %d, want %d", got, want)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		data arena.Backend
+	}{{"metered", backend(t, arena.Metered)}, {"indexOnly", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, plan := park(t, tc.data)
+			if _, _, err := s.ApplyMoves(plan[:n/2], 0, nil, 1<<40, nil); err != nil {
+				t.Fatal(err)
+			}
+			chunked(t, s, ranked(s, 0, plan[n/2:]), nil)
+			if got := s.MoveNanos(); got != 0 {
+				t.Fatalf("MoveNanos = %d on a space without real bytes", got)
+			}
+		})
+	}
+}

@@ -130,6 +130,7 @@ func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed in
 		// into sorted range edits at the end.
 		return ms.advanceBatched(budget)
 	}
+	t0 := s.moveClock()
 	for ms.next < len(ms.plan) && volume < budget {
 		mv := ms.plan[ms.next]
 		oldStart := b.oldSteps[ms.next]
@@ -139,13 +140,17 @@ func (ms *MoveSession) Advance(budget int64, emit func(MoveResult)) (consumed in
 			continue
 		}
 		size := b.suffix[mv.Ref].ext.Size
-		if err := s.applyOne(mv, oldStart, size, emit); err != nil {
-			return consumed, volume, err
+		if err = s.applyOne(mv, oldStart, size, emit); err != nil {
+			break
 		}
 		b.curStart[mv.Ref] = mv.To
 		ms.next++
 		consumed++
 		volume += size
+	}
+	s.addMoveTime(t0)
+	if err != nil {
+		return consumed, volume, err
 	}
 	if ms.next == len(ms.plan) {
 		ms.done = true
@@ -173,6 +178,7 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 	b := ms.b
 	ms.epoch++
 	refs := b.chunkRefs[:0]
+	t0 := s.moveClock()
 	for ms.next < len(ms.plan) && volume < budget {
 		mv := ms.plan[ms.next]
 		oldStart := b.oldSteps[ms.next]
@@ -212,6 +218,7 @@ func (ms *MoveSession) advanceBatched(budget int64) (consumed int, volume int64,
 		consumed++
 		volume += size
 	}
+	s.addMoveTime(t0)
 	b.chunkRefs = refs
 	dels := b.chunkDels[:0]
 	ins := b.chunkIns[:0]

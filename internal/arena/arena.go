@@ -9,10 +9,11 @@
 // One cell of the simulated address space is one byte of the backend,
 // so the paper's moved-volume meter and a backend's BytesMoved counter
 // are directly comparable: on the same op stream a metered run and a
-// heap run report identical BytesMoved, and the heap run additionally
-// reports the nanoseconds the memmoves cost (CopyNanos). That is the
-// measurement the E17 experiment builds its metered-cells vs
-// measured-bytes/ns table from.
+// heap run report identical BytesMoved. A backend counts and never reads
+// a clock: what the copies cost in wall-clock is timed by the caller,
+// once per chunk of moves (addrspace.Space.MoveNanos), so the fixed cost
+// of a copy is the memmove's own. The E17 experiment builds its
+// metered-cells vs measured-bytes/ns table from those two sources.
 //
 // Backends are not safe for concurrent use; the engine serializes all
 // access (the facades' locks extend over payload reads and writes).
@@ -21,7 +22,6 @@ package arena
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrClosed is the use-after-Close sentinel. Payload access on a
@@ -84,13 +84,12 @@ type Counters struct {
 	BytesMoved int64
 	// Copies is the number of relocations executed.
 	Copies int64
-	// CopyNanos is the wall-clock time spent inside memmoves, recorded
-	// only while timing is armed (SetTiming) on a real backend.
-	CopyNanos int64
 }
 
 // Backend is one payload store over the flat address space. dst/src/
-// start are cell addresses; one cell is one byte.
+// start are cell addresses; one cell is one byte. Copy counts bytes and
+// copies but reads no clock; callers that want wall-clock time one loop
+// of copies, not each copy.
 //
 // Growth never fails softly: a real backend that cannot obtain memory
 // panics (address-space exhaustion is not recoverable for an arena),
@@ -115,9 +114,6 @@ type Backend interface {
 	Bytes(start, size int64) []byte
 	// Counters returns the cumulative cost accounting.
 	Counters() Counters
-	// SetTiming arms (or disarms) CopyNanos recording. Off by default:
-	// an untimed Copy never reads a clock.
-	SetTiming(on bool)
 	// Sync flushes payload bytes to durable media: msync + fsync for
 	// the file backend, a no-op nil for memory-only backends. After
 	// Close it returns ErrClosed.
@@ -171,7 +167,6 @@ func (m *metered) Bytes(start, size int64) []byte {
 	return nil
 }
 func (m *metered) Counters() Counters { return m.c }
-func (m *metered) SetTiming(bool)     {}
 func (m *metered) Sync() error {
 	if m.closed {
 		return ErrClosed
@@ -183,7 +178,6 @@ func (m *metered) Close() error { m.closed = true; return nil }
 // heap is the growable-slice backend.
 type heap struct {
 	mem    []byte
-	timing bool
 	closed bool
 	c      Counters
 }
@@ -215,13 +209,7 @@ func (h *heap) Copy(dst, src, size int64) {
 		end = se
 	}
 	h.Ensure(end)
-	if h.timing {
-		t0 := time.Now()
-		copy(h.mem[dst:dst+size], h.mem[src:src+size])
-		h.c.CopyNanos += int64(time.Since(t0))
-	} else {
-		copy(h.mem[dst:dst+size], h.mem[src:src+size])
-	}
+	copy(h.mem[dst:dst+size], h.mem[src:src+size])
 	h.c.BytesMoved += size
 	h.c.Copies++
 }
@@ -232,7 +220,6 @@ func (h *heap) Bytes(start, size int64) []byte {
 }
 
 func (h *heap) Counters() Counters { return h.c }
-func (h *heap) SetTiming(on bool)  { h.timing = on }
 func (h *heap) Sync() error {
 	if h.closed {
 		return ErrClosed

@@ -266,26 +266,3 @@ func TestFromFileOverMemFS(t *testing.T) {
 		t.Fatal("unsynced bytes survived a crash")
 	}
 }
-
-// TestTiming: CopyNanos stays zero untimed and only advances on real
-// backends while armed.
-func TestTiming(t *testing.T) {
-	for name, b := range backends(t) {
-		b.Copy(1<<16, 0, 1<<15)
-		if c := b.Counters(); c.CopyNanos != 0 {
-			t.Errorf("%s: untimed CopyNanos = %d", name, c.CopyNanos)
-		}
-		b.SetTiming(true)
-		for i := 0; i < 64; i++ {
-			b.Copy(1<<16, 0, 1<<15)
-		}
-		c := b.Counters()
-		if b.Real() && c.CopyNanos <= 0 {
-			t.Errorf("%s: timed CopyNanos = %d, want > 0", name, c.CopyNanos)
-		}
-		if !b.Real() && c.CopyNanos != 0 {
-			t.Errorf("%s: metered CopyNanos = %d", name, c.CopyNanos)
-		}
-		b.Close()
-	}
-}

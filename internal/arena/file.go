@@ -23,7 +23,6 @@ import (
 type fileArena struct {
 	f      faultfs.File
 	mem    []byte
-	timing bool
 	closed bool
 	c      Counters
 	// retries/retryDelay govern the transient-EIO retry loop on the
@@ -74,13 +73,7 @@ func (a *fileArena) Copy(dst, src, size int64) {
 		end = se
 	}
 	a.Ensure(end)
-	if a.timing {
-		t0 := time.Now()
-		copy(a.mem[dst:dst+size], a.mem[src:src+size])
-		a.c.CopyNanos += int64(time.Since(t0))
-	} else {
-		copy(a.mem[dst:dst+size], a.mem[src:src+size])
-	}
+	copy(a.mem[dst:dst+size], a.mem[src:src+size])
 	a.c.BytesMoved += size
 	a.c.Copies++
 }
@@ -91,7 +84,6 @@ func (a *fileArena) Bytes(start, size int64) []byte {
 }
 
 func (a *fileArena) Counters() Counters { return a.c }
-func (a *fileArena) SetTiming(on bool)  { a.timing = on }
 
 // Sync writes the mirror back to the file and fsyncs it. A transient
 // EIO on the write-back is retried with doubling backoff; the injected

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-	"time"
 	"unsafe"
 )
 
@@ -18,7 +17,6 @@ import (
 type mmapFile struct {
 	f      *os.File
 	mem    []byte // len = logical size, cap = mapped (== file) size
-	timing bool
 	closed bool
 	c      Counters
 }
@@ -113,13 +111,7 @@ func (a *mmapFile) Copy(dst, src, size int64) {
 		end = se
 	}
 	a.Ensure(end)
-	if a.timing {
-		t0 := time.Now()
-		copy(a.mem[dst:dst+size], a.mem[src:src+size])
-		a.c.CopyNanos += int64(time.Since(t0))
-	} else {
-		copy(a.mem[dst:dst+size], a.mem[src:src+size])
-	}
+	copy(a.mem[dst:dst+size], a.mem[src:src+size])
 	a.c.BytesMoved += size
 	a.c.Copies++
 }
@@ -130,7 +122,6 @@ func (a *mmapFile) Bytes(start, size int64) []byte {
 }
 
 func (a *mmapFile) Counters() Counters { return a.c }
-func (a *mmapFile) SetTiming(on bool)  { a.timing = on }
 
 // Sync flushes the mapping to media: msync(MS_SYNC) pushes the dirty
 // pages to the file, fsync makes the file durable.

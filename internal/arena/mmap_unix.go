@@ -5,7 +5,6 @@ package arena
 import (
 	"fmt"
 	"syscall"
-	"time"
 )
 
 // mmapArena backs the address space with an anonymous private mapping.
@@ -16,7 +15,6 @@ import (
 // time.
 type mmapArena struct {
 	mem    []byte
-	timing bool
 	closed bool
 	c      Counters
 }
@@ -78,13 +76,7 @@ func (a *mmapArena) Copy(dst, src, size int64) {
 		end = se
 	}
 	a.Ensure(end)
-	if a.timing {
-		t0 := time.Now()
-		copy(a.mem[dst:dst+size], a.mem[src:src+size])
-		a.c.CopyNanos += int64(time.Since(t0))
-	} else {
-		copy(a.mem[dst:dst+size], a.mem[src:src+size])
-	}
+	copy(a.mem[dst:dst+size], a.mem[src:src+size])
 	a.c.BytesMoved += size
 	a.c.Copies++
 }
@@ -95,7 +87,6 @@ func (a *mmapArena) Bytes(start, size int64) []byte {
 }
 
 func (a *mmapArena) Counters() Counters { return a.c }
-func (a *mmapArena) SetTiming(on bool)  { a.timing = on }
 
 func (a *mmapArena) Sync() error {
 	if a.closed {

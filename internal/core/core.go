@@ -247,10 +247,13 @@ type Reallocator struct {
 	tel      *telemetry.Set
 	stalling bool
 	opStall  int64
-	// copyMark is the arena's cumulative memmove time at the start of
-	// the flush in progress; the delta at flush end is that flush's
-	// FlushCopy observation.
-	copyMark int64
+	// copyMark is the substrate's cumulative move-loop time at the start
+	// of the flush in progress; the delta at flush end is that flush's
+	// FlushCopy observation. copyTimed says whether there is one: the
+	// backend holds real bytes and the flush runs through the batched
+	// executors, which time their move loops (per-move Move does not).
+	copyMark  int64
+	copyTimed bool
 
 	// Deamortized state: the plan of an in-progress flush and the update
 	// log absorbing requests that arrive while it runs.
@@ -301,9 +304,6 @@ func New(cfg Config) (*Reallocator, error) {
 	if cfg.Arena == nil {
 		cfg.Arena, _ = arena.New(arena.Metered)
 	}
-	if cfg.Telemetry != nil {
-		cfg.Arena.SetTiming(true)
-	}
 	opts.Data = cfg.Arena
 	rec := cfg.Recorder
 	if rec == nil {
@@ -318,6 +318,7 @@ func New(cfg Config) (*Reallocator, error) {
 		nullRec: nullRec,
 		tel:     cfg.Telemetry,
 	}
+	r.copyTimed = r.tel != nil && r.space.HasData() && !cfg.SerialFlush
 	if cfg.Variant == Deamortized {
 		r.tailBuf = &tail{}
 	}
@@ -579,18 +580,20 @@ func (r *Reallocator) syncCheckpoints() {
 	}
 }
 
-// markCopy snapshots the arena's cumulative memmove time at flush
+// markCopy snapshots the substrate's cumulative move-loop time at flush
 // start; recordCopy turns the delta into the flush's FlushCopy
-// observation. Both are single branches when telemetry is off.
+// observation. Both are single branches when there is nothing to time
+// (telemetry off, no real bytes, or the per-move reference path), so a
+// metered run records no FlushCopy at all rather than a row of zeros.
 func (r *Reallocator) markCopy() {
-	if r.tel != nil {
-		r.copyMark = r.space.Data().Counters().CopyNanos
+	if r.copyTimed {
+		r.copyMark = r.space.MoveNanos()
 	}
 }
 
 func (r *Reallocator) recordCopy() {
-	if r.tel != nil {
-		r.tel.FlushCopy.Record(r.space.Data().Counters().CopyNanos - r.copyMark)
+	if r.copyTimed {
+		r.tel.FlushCopy.Record(r.space.MoveNanos() - r.copyMark)
 	}
 }
 

@@ -128,9 +128,6 @@ func New(cfg Config) (*Reallocator, error) {
 	if cfg.Arena == nil {
 		cfg.Arena, _ = arena.New(arena.Metered)
 	}
-	if cfg.Telemetry != nil {
-		cfg.Arena.SetTiming(true)
-	}
 	opts.Data = cfg.Arena
 	rec := cfg.Recorder
 	if rec == nil {
@@ -381,16 +378,23 @@ func (r *Reallocator) rebuild() error {
 	r.planBuf = plan[:0]
 
 	r.rebuilds++
+	tel := r.cfg.Telemetry
 	var moved, t0 int64
-	var copyMark int64
-	if r.cfg.Telemetry != nil {
+	if tel != nil {
 		t0 = telemetry.Now()
-		copyMark = r.space.Data().Counters().CopyNanos
 	}
 	if !r.nullRec {
 		r.rec.Record(trace.Event{
 			Kind: trace.KFlushStart, From: int64(len(r.classes)), Volume: r.vol,
 		})
+	}
+	// One clock pair around both move loops is the rebuild's FlushCopy
+	// observation, taken only when there are real bytes to copy: Move
+	// itself reads no clock.
+	timeCopies := tel != nil && r.space.HasData()
+	var c0 int64
+	if timeCopies {
+		c0 = telemetry.Now()
 	}
 	staging := r.allocEnd
 	for i := range plan {
@@ -417,19 +421,24 @@ func (r *Reallocator) rebuild() error {
 		r.emit(trace.KMove, e.id, e.size, e.cur, e.target)
 		moved += e.size
 	}
+	var copyNanos int64
+	if timeCopies {
+		copyNanos = telemetry.Now() - c0
+	}
 	r.allocEnd = cursor
 	if !r.nullRec {
 		r.rec.Record(trace.Event{Kind: trace.KFlushEnd, Size: moved})
 	}
-	if tel := r.cfg.Telemetry; tel != nil {
+	if tel != nil {
 		// A rebuild is an atomic flush: one chunk, no stall.
 		el := telemetry.Now() - t0
 		tel.FlushDuration.Record(el)
 		tel.FlushMoved.Record(moved)
 		tel.FlushChunk.Record(moved)
-		c := r.space.Data().Counters()
-		tel.FlushCopy.Record(c.CopyNanos - copyMark)
-		tel.BytesMoved.Store(c.BytesMoved)
+		if timeCopies {
+			tel.FlushCopy.Record(copyNanos)
+		}
+		tel.BytesMoved.Store(r.space.Data().Counters().BytesMoved)
 		if !r.nullRec {
 			r.rec.Record(trace.Event{
 				Kind: trace.KFlushSpan, ID: 1, Size: moved, To: el,

@@ -190,7 +190,7 @@ func writePrometheus(w io.Writer, reg *Registry) {
 			func(s *Snapshot) *HistSnapshot { return &s.FlushMoved }},
 		{"realloc_flush_chunk_cells", "Cells moved per deamortized session chunk.", 1,
 			func(s *Snapshot) *HistSnapshot { return &s.FlushChunk }},
-		{"realloc_flush_copy_seconds", "Time inside payload memmoves per completed flush.", 1e-9,
+		{"realloc_flush_copy_seconds", "Time in move loops per completed flush (real backends only).", 1e-9,
 			func(s *Snapshot) *HistSnapshot { return &s.FlushCopy }},
 		{"realloc_migrate_latency_seconds", "Per-object rebalancer migration latency.", 1e-9,
 			func(s *Snapshot) *HistSnapshot { return &s.MigrateLatency }},

@@ -250,7 +250,7 @@ type Set struct {
 	FlushStall     Histogram // per-op time blocked advancing a flush the op did not trigger
 	FlushMoved     Histogram // cells moved per completed flush
 	FlushChunk     Histogram // cells moved per deamortized session chunk
-	FlushCopy      Histogram // time inside payload memmoves per completed flush (real backends)
+	FlushCopy      Histogram // time in the flush's move loops, incl. per-move bookkeeping and observer callbacks (real backends only)
 	MigrateLatency Histogram // per-object rebalancer migration latency
 	BatchSize      Histogram // ops per executed batch group (Apply / async drains)
 	SubmitLatency  Histogram // async submit-to-complete latency per op

@@ -146,6 +146,56 @@ func TestTelemetryOffStatsNilSafe(t *testing.T) {
 	}
 }
 
+// TestFlushCopyRealBackendsOnly: FlushCopy times flush move loops, so it
+// holds one observation per completed flush, with time in it, on a real
+// backend, and none at all on the metered backend (no row of zeros). The
+// per-move serial reference path is not timed and records none either.
+func TestFlushCopyRealBackendsOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"amortized", []Option{WithCore(CorePODS14), WithVariant(Amortized)}},
+		{"checkpointed", []Option{WithCore(CorePODS14), WithVariant(Checkpointed)}},
+		{"deamortized", []Option{WithCore(CorePODS14), WithVariant(Deamortized)}},
+		{"fcs", []Option{WithCore(CoreFCS)}},
+		{"amortizedSerial", []Option{WithCore(CorePODS14), WithVariant(Amortized), WithSerialFlush()}},
+	} {
+		for _, bk := range []Backend{Metered, HeapArena} {
+			t.Run(tc.name+"/"+bk.String(), func(t *testing.T) {
+				reg := telemetry.NewRegistry()
+				r, err := New(append([]Option{WithEpsilon(0.25), WithBackend(bk), WithTelemetry(reg)}, tc.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				churnTelemetry(t, r.Insert, r.Delete, 4000, 11)
+				if err := r.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				flushes := r.Flushes()
+				if flushes == 0 {
+					t.Fatal("churn ran no flush")
+				}
+				var snap telemetry.Snapshot
+				reg.ReadSnapshot(&snap)
+				if got := snap.FlushMoved.Count; got != flushes {
+					t.Fatalf("FlushMoved count = %d, want one per flush (%d)", got, flushes)
+				}
+				want := flushes
+				if bk == Metered || tc.name == "amortizedSerial" {
+					want = 0
+				}
+				if got := snap.FlushCopy.Count; got != want {
+					t.Fatalf("FlushCopy count = %d, want %d (%d flushes)", got, want, flushes)
+				}
+				if want > 0 && snap.FlushCopy.Sum <= 0 {
+					t.Fatalf("FlushCopy sum = %d over %d flushes", snap.FlushCopy.Sum, want)
+				}
+			})
+		}
+	}
+}
+
 // TestObserverFromShardZero is the regression test for the adapter bug
 // where every event from shard i carried FromShard == i: FromShard is
 // documented migrate-only, so ordinary events from nonzero shards must
