@@ -4,7 +4,7 @@
 // Usage:
 //
 //	reallocbench [-e E1|E2|...|E17|all] [-seed N] [-ops N] [-quick] [-list]
-//	            [-core pods14|fcs|auto] [-backend metered|heap|mmap]
+//	            [-core pods14|fcs] [-backend metered|heap|mmap]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	            [-json] [-outdir DIR] [-telemetry] [-http ADDR]
 //
@@ -65,7 +65,7 @@ func run() int {
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		ops        = flag.Int("ops", 0, "request budget per run (0 = experiment default)")
 		quick      = flag.Bool("quick", false, "reduced scale for a fast pass")
-		coreName   = flag.String("core", "", "restrict cross-core experiments to one core (pods14, fcs, auto; empty = all)")
+		coreName   = flag.String("core", "", "restrict cross-core experiments to one core (pods14, fcs; empty = both)")
 		backend    = flag.String("backend", "", "restrict cross-backend experiments to one payload backend (metered, heap, mmap; empty = metered+heap)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to `file`")

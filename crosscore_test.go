@@ -10,15 +10,14 @@ import (
 )
 
 // coresUnderTest enumerates every public core selection.
-var coresUnderTest = []realloc.Core{realloc.CorePODS14, realloc.CoreFCS, realloc.CoreAutoSelect}
+var coresUnderTest = []realloc.Core{realloc.CorePODS14, realloc.CoreFCS}
 
 // TestCoreString: public names match the engine-layer names the CLI and
 // REALLOC_CORE use.
 func TestCoreString(t *testing.T) {
 	want := map[realloc.Core]string{
-		realloc.CorePODS14:     "pods14",
-		realloc.CoreFCS:        "fcs",
-		realloc.CoreAutoSelect: "auto",
+		realloc.CorePODS14: "pods14",
+		realloc.CoreFCS:    "fcs",
 	}
 	for c, name := range want {
 		if c.String() != name {
@@ -36,7 +35,7 @@ func TestWithCoreValidation(t *testing.T) {
 		t.Errorf("New(core=42) error = %v, want unknown core message", err)
 	}
 	for _, v := range []realloc.Variant{realloc.Checkpointed, realloc.Deamortized} {
-		for _, c := range []realloc.Core{realloc.CoreFCS, realloc.CoreAutoSelect} {
+		for _, c := range []realloc.Core{realloc.CoreFCS} {
 			want := fmt.Sprintf("core %s does not support the %s variant (supported: amortized)", c, v)
 			errSingle := errOf(realloc.New(realloc.WithCore(c), realloc.WithVariant(v)))
 			if errSingle == nil || !strings.Contains(errSingle.Error(), want) {
@@ -106,12 +105,15 @@ func TestReallocCoreEnv(t *testing.T) {
 		t.Errorf("WithCore(pods14) under REALLOC_CORE=fcs → Core() = %v", got)
 	}
 
-	t.Setenv("REALLOC_CORE", "bogus")
-	if _, err := realloc.New(); err == nil || !strings.Contains(err.Error(), `REALLOC_CORE: unknown core "bogus"`) {
-		t.Errorf("REALLOC_CORE=bogus New() error = %v", err)
-	}
-	if _, err := realloc.NewSharded(realloc.WithShards(2)); err == nil || !strings.Contains(err.Error(), `REALLOC_CORE: unknown core "bogus"`) {
-		t.Errorf("REALLOC_CORE=bogus NewSharded() error = %v", err)
+	for _, name := range []string{"bogus", "auto"} {
+		t.Setenv("REALLOC_CORE", name)
+		want := `REALLOC_CORE: unknown core "` + name + `" (valid: pods14, fcs)`
+		if _, err := realloc.New(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("REALLOC_CORE=%s New() error = %v, want %q", name, err, want)
+		}
+		if _, err := realloc.NewSharded(realloc.WithShards(2)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("REALLOC_CORE=%s NewSharded() error = %v, want %q", name, err, want)
+		}
 	}
 }
 
@@ -196,46 +198,5 @@ func TestShardedCrossCoreEquivalence(t *testing.T) {
 				t.Fatalf("%v: stats missing (%v)", core, ok)
 			}
 		})
-	}
-}
-
-// TestShardedAutoSelectConverges: under a compact concurrent workload
-// every shard of an auto-selecting sharded reallocator commits to the
-// same core.
-func TestShardedAutoSelectConverges(t *testing.T) {
-	s, err := realloc.NewSharded(
-		realloc.WithShards(4),
-		realloc.WithCore(realloc.CoreAutoSelect),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := int64(w) * 100_000
-			for i := int64(1); i <= 2000; i++ {
-				if err := s.Insert(base+i, i%32+1); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// One more op per id range touches every shard after the decision.
-	for w := 0; w < 4; w++ {
-		base := int64(w) * 100_000
-		if err := s.Delete(base + 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Core(); got != realloc.CoreFCS {
-		t.Errorf("sharded auto Core() = %v, want fcs on compact sizes", got)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -37,9 +37,9 @@
 // The reallocation algorithm itself is pluggable: the facade drives an
 // engine boundary (internal/engine) with two cores behind it, selected
 // per structure with WithCore on either constructor, or globally with
-// the REALLOC_CORE environment variable ("pods14", "fcs", "auto") when
-// no explicit WithCore is given. Core reports the selection; unknown
-// names fail construction.
+// the REALLOC_CORE environment variable ("pods14" or "fcs") when no
+// explicit WithCore is given. A structure's core is fixed when it is
+// built, and Core reports it; unknown names fail construction.
 //
 //   - CorePODS14 (default) is the reference implementation described
 //     above: every variant, footprint ≤ (1+ε)·V after every request,
@@ -55,18 +55,11 @@
 //     the bound is per-volume rather than cost-oblivious, and the core
 //     runs Amortized only: selecting Checkpointed or Deamortized with
 //     it fails construction.
-//   - CoreAutoSelect starts every structure on the reference core,
-//     observes the size distribution of the first ~2k inserts, and
-//     commits: a compact distribution (maximum within ~64× the median,
-//     where fixed-width slots waste little) migrates all live objects
-//     to CoreFCS in one flush-bracketed adoption pass; a heavy-tailed
-//     one stays on CorePODS14. All shards of a sharded reallocator
-//     share one decision, so the structure remains homogeneous.
 //
 // Whatever the core, the externally observable allocation semantics are
 // identical — the live id set, sizes, extents, and aggregate state; an
 // N-way differential oracle and a cross-core fuzz target
-// (internal/engine) pin this, and experiment E16 sweeps every core's
+// (internal/engine) pin this, and experiment E16 sweeps both cores'
 // cost against ε on uniform, zipf, and adversarial workloads.
 //
 // # Backends

@@ -303,10 +303,9 @@ func (s *Space) PlaceTagged(id ID, ext Extent, tag int32) error {
 	s.byStart.insert(placement{id: id, ext: ext, tag: tag, slot: slot})
 	s.stampCells(ext, id)
 	if s.data != nil {
-		// Make the extent addressable; the payload content is whatever
-		// the cells held (callers write it via WriteData). Adoption
-		// handoffs between engines rely on placement NOT clearing cells:
-		// an object adopted at its old address keeps its bytes.
+		// Make the extent addressable. Placement does not clear cells:
+		// the payload is whatever they held until the caller writes it
+		// via WriteData.
 		s.data.Ensure(ext.End())
 	}
 	s.volume += ext.Size

@@ -76,8 +76,6 @@ type Config struct {
 	Telemetry *telemetry.Set
 	// Arena is the payload backend relocations execute against. Nil
 	// defaults to the metered backend: moves are counted, not paid.
-	// Handing an engine another engine's arena adopts its bytes (the
-	// AutoSelect migration relies on this).
 	Arena arena.Backend
 }
 

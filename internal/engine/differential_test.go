@@ -7,17 +7,18 @@ import (
 	"realloc/internal/workload"
 )
 
-// contender is one engine under cross-core test, with its own metrics.
+// contender is one engine under cross-core test, with its own metrics
+// and the core it was configured with.
 type contender struct {
 	name string
+	core Core
 	eng  Engine
 	met  *trace.Metrics
 }
 
 // newContenders builds the N-way panel the oracle compares: the PODS'14
-// reference in its amortized and deamortized variants, the FCS successor
-// core, and the auto-selecting engine (with a small probe so it commits
-// mid-workload).
+// reference in its amortized and deamortized variants, and the FCS
+// successor core.
 func newContenders(t *testing.T, eps float64) []*contender {
 	t.Helper()
 	mk := func(name string, cfg Config) *contender {
@@ -29,13 +30,12 @@ func newContenders(t *testing.T, eps float64) []*contender {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		return &contender{name: name, eng: e, met: m}
+		return &contender{name: name, core: cfg.Core, eng: e, met: m}
 	}
 	return []*contender{
 		mk("pods14/amortized", Config{Core: PODS14, Variant: Amortized}),
 		mk("pods14/deamortized", Config{Core: PODS14, Variant: Deamortized}),
 		mk("fcs", Config{Core: FCS}),
-		mk("auto", Config{Core: AutoSelect, Coordinator: NewAutoCoordinator(512)}),
 	}
 }
 
@@ -131,9 +131,9 @@ func checkFCSCostBound(t *testing.T, c *contender, eps float64, reqVol int64) {
 
 // TestCrossCoreDifferential is the N-way oracle of the engine boundary:
 // the same uniform, zipf, and adversarial request sequences drive the
-// reference variants, the FCS successor, and the auto engine, and every
-// quiescent point must agree on all externally observable state while
-// each core's cost stays inside its proven bound.
+// reference variants and the FCS successor, and every quiescent point
+// must agree on all externally observable state while each core's cost
+// stays inside its proven bound.
 func TestCrossCoreDifferential(t *testing.T) {
 	const eps = 0.25
 	streams := []struct {
@@ -166,12 +166,12 @@ func TestCrossCoreDifferential(t *testing.T) {
 			cs := newContenders(t, eps)
 			reqVol := driveAll(t, cs, ops, 512)
 			for _, c := range cs {
-				if c.eng.Kind() == FCS {
+				if c.core == FCS {
 					checkFCSCostBound(t, c, eps, reqVol)
 				}
 				// The footprint budget is every core's shared contract;
 				// at quiescence each holds (1+ε)·V plus its additive term.
-				if v, f := c.eng.Volume(), c.eng.Footprint(); v > 0 && c.eng.Kind() == FCS {
+				if v, f := c.eng.Volume(), c.eng.Footprint(); v > 0 && c.core == FCS {
 					if float64(f) > (1+eps)*float64(v) {
 						t.Errorf("%s: quiescent footprint %d over (1+ε)·%d", c.name, f, v)
 					}
@@ -200,7 +200,7 @@ func TestCrossCoreMassDelete(t *testing.T) {
 	cs := newContenders(t, eps)
 	driveAll(t, cs, ops, 256)
 	for _, c := range cs {
-		if c.eng.Kind() != FCS {
+		if c.core != FCS {
 			continue
 		}
 		v, f := c.eng.Volume(), c.eng.Footprint()

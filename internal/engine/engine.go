@@ -9,10 +9,9 @@
 // events recorders price. The PODS'14 cost-oblivious reallocator
 // (internal/core) is the reference implementation; internal/engine/fcs
 // implements the Farach-Colton–Sheffield 2024 successor algorithm behind
-// the same interface. Core selection — including the AutoSelect mode that
-// probes the observed size distribution before committing — lives here,
-// so the facade, the sharded front-end, and the harness all pick engines
-// through one seam.
+// the same interface. Each structure's core is fixed when New builds it;
+// core selection lives here, so the facade, the sharded front-end, and
+// the harness all pick engines through one seam.
 package engine
 
 import (
@@ -84,10 +83,6 @@ const (
 	// slots with swap-with-last compaction and whole-structure rebuilds,
 	// amortized O(w/ε) moved volume per size-w update (amortized only).
 	FCS
-	// AutoSelect probes the observed size distribution on the reference
-	// core, then commits the structure to the core the distribution
-	// favors (amortized only).
-	AutoSelect
 )
 
 func (c Core) String() string {
@@ -96,8 +91,6 @@ func (c Core) String() string {
 		return "pods14"
 	case FCS:
 		return "fcs"
-	case AutoSelect:
-		return "auto"
 	default:
 		return "unknown"
 	}
@@ -105,12 +98,12 @@ func (c Core) String() string {
 
 // ParseCore resolves a core name (as printed by Core.String).
 func ParseCore(s string) (Core, error) {
-	for _, c := range []Core{PODS14, FCS, AutoSelect} {
+	for _, c := range []Core{PODS14, FCS} {
 		if s == c.String() {
 			return c, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown core %q (valid: pods14, fcs, auto)", s)
+	return 0, fmt.Errorf("unknown core %q (valid: pods14, fcs)", s)
 }
 
 // Engine is the reallocation-engine boundary: one sequential reallocator
@@ -160,9 +153,6 @@ type Engine interface {
 	ForEach(fn func(id ID, ext addrspace.Extent))
 	// CheckInvariants validates the full structure.
 	CheckInvariants() error
-	// Kind reports which core the engine currently runs (an AutoSelect
-	// engine reports the core it has committed to, PODS14 while probing).
-	Kind() Core
 	// Data exposes the payload backend relocations execute against.
 	Data() arena.Backend
 	// Write copies p into object id's payload bytes; it fails with
@@ -197,11 +187,6 @@ type Config struct {
 	// SerialFlush forces the PODS'14 per-move reference flush path; cores
 	// whose flushes are not batched ignore it.
 	SerialFlush bool
-	// Coordinator shares one AutoSelect decision across several engines
-	// (the sharded front-end passes the same coordinator to every shard,
-	// keeping per-shard engines homogeneous). Nil gives an AutoSelect
-	// engine a private coordinator; ignored by concrete cores.
-	Coordinator *AutoCoordinator
 	// Telemetry, when non-nil, receives the core's wall-clock flush
 	// timings (duration, stall, chunk, moved volume) and checkpoint
 	// counts; the facade layers its own op-latency recording on top.
@@ -224,8 +209,8 @@ func ValidateEpsilon(eps float64) error {
 
 // ValidateCore rejects values outside the enum.
 func ValidateCore(c Core) error {
-	if c < PODS14 || c > AutoSelect {
-		return fmt.Errorf("unknown core %d (valid: pods14, fcs, auto)", int(c))
+	if c < PODS14 || c > FCS {
+		return fmt.Errorf("unknown core %d (valid: pods14, fcs)", int(c))
 	}
 	return nil
 }
@@ -239,8 +224,8 @@ func ValidateVariant(v Variant) error {
 }
 
 // Supports reports whether core c implements variant v. The FCS core is
-// an amortized-only algorithm (it has no checkpointed or deamortized
-// path), and AutoSelect may commit to it, so both are amortized-only.
+// an amortized-only algorithm: it has no checkpointed or deamortized
+// path.
 func Supports(c Core, v Variant) bool {
 	if ValidateCore(c) != nil || ValidateVariant(v) != nil {
 		return false
@@ -263,7 +248,8 @@ func ValidateCombination(c Core, v Variant) error {
 	return nil
 }
 
-// New validates cfg and builds the configured engine.
+// New validates cfg and builds the configured engine: a
+// *core.Reallocator for PODS14, a *fcs.Reallocator for FCS.
 func New(cfg Config) (Engine, error) {
 	if err := ValidateEpsilon(cfg.Epsilon); err != nil {
 		return nil, err
@@ -271,35 +257,21 @@ func New(cfg Config) (Engine, error) {
 	if err := ValidateCombination(cfg.Core, cfg.Variant); err != nil {
 		return nil, err
 	}
-	switch cfg.Core {
-	case FCS:
-		return newFCSEngine(cfg)
-	case AutoSelect:
-		return newAutoEngine(cfg)
-	default:
-		return newPODSEngine(cfg)
+	if cfg.Core == FCS {
+		e, err := fcs.New(fcs.Config{
+			Epsilon:    cfg.Epsilon,
+			Recorder:   cfg.Recorder,
+			TrackCells: cfg.TrackCells,
+			Paranoid:   cfg.Paranoid,
+			Telemetry:  cfg.Telemetry,
+			Arena:      cfg.Arena,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
-}
-
-// MustNew is New for tests and examples with known-good configs.
-func MustNew(cfg Config) Engine {
-	e, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// podsEngine adapts the reference core to the Engine interface; every
-// method is the core's own, only Kind is added.
-type podsEngine struct {
-	*core.Reallocator
-}
-
-func (podsEngine) Kind() Core { return PODS14 }
-
-func newPODSEngine(cfg Config) (Engine, error) {
-	inner, err := core.New(core.Config{
+	e, err := core.New(core.Config{
 		Epsilon:     cfg.Epsilon,
 		EpsPrime:    cfg.EpsPrime,
 		Variant:     core.Variant(cfg.Variant),
@@ -313,27 +285,5 @@ func newPODSEngine(cfg Config) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return podsEngine{inner}, nil
-}
-
-// fcsEngine adapts the successor core.
-type fcsEngine struct {
-	*fcs.Reallocator
-}
-
-func (fcsEngine) Kind() Core { return FCS }
-
-func newFCSEngine(cfg Config) (Engine, error) {
-	inner, err := fcs.New(fcs.Config{
-		Epsilon:    cfg.Epsilon,
-		Recorder:   cfg.Recorder,
-		TrackCells: cfg.TrackCells,
-		Paranoid:   cfg.Paranoid,
-		Telemetry:  cfg.Telemetry,
-		Arena:      cfg.Arena,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fcsEngine{inner}, nil
+	return e, nil
 }

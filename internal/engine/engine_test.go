@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"realloc/internal/core"
-	"realloc/internal/trace"
 )
 
 // TestVariantEnumDrift pins the shared engine.Variant enum to the
@@ -42,7 +41,7 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("ParseVariant(%q) = %v, %v", v.String(), got, err)
 		}
 	}
-	for _, c := range []Core{PODS14, FCS, AutoSelect} {
+	for _, c := range []Core{PODS14, FCS} {
 		got, err := ParseCore(c.String())
 		if err != nil || got != c {
 			t.Errorf("ParseCore(%q) = %v, %v", c.String(), got, err)
@@ -51,21 +50,24 @@ func TestParseRoundTrip(t *testing.T) {
 	if _, err := ParseVariant("nope"); err == nil || !strings.Contains(err.Error(), "unknown variant") {
 		t.Errorf("ParseVariant(nope) error = %v", err)
 	}
-	if _, err := ParseCore("nope"); err == nil || !strings.Contains(err.Error(), "unknown core") {
-		t.Errorf("ParseCore(nope) error = %v", err)
+	for _, name := range []string{"nope", "auto"} {
+		want := `unknown core "` + name + `" (valid: pods14, fcs)`
+		if _, err := ParseCore(name); err == nil || err.Error() != want {
+			t.Errorf("ParseCore(%s) error = %v, want %q", name, err, want)
+		}
 	}
 }
 
 // TestSupportsMatrix: the reference core runs every variant; the
-// successor and auto cores are amortized-only, and New enforces it with
-// the canonical message.
+// successor core is amortized-only, and New enforces it with the
+// canonical message.
 func TestSupportsMatrix(t *testing.T) {
 	for _, v := range []Variant{Amortized, Checkpointed, Deamortized} {
 		if !Supports(PODS14, v) {
 			t.Errorf("Supports(pods14, %v) = false", v)
 		}
 	}
-	for _, c := range []Core{FCS, AutoSelect} {
+	for _, c := range []Core{FCS} {
 		if !Supports(c, Amortized) {
 			t.Errorf("Supports(%v, amortized) = false", c)
 		}
@@ -95,100 +97,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Epsilon: 0}); err == nil || !strings.Contains(err.Error(), "epsilon must be in (0, 1]") {
 		t.Errorf("epsilon error = %v", err)
-	}
-}
-
-// TestKind: each concrete engine reports its core.
-func TestKind(t *testing.T) {
-	if got := MustNew(Config{Epsilon: 0.25}).Kind(); got != PODS14 {
-		t.Errorf("default engine Kind = %v", got)
-	}
-	if got := MustNew(Config{Core: FCS, Epsilon: 0.25}).Kind(); got != FCS {
-		t.Errorf("fcs engine Kind = %v", got)
-	}
-	if got := MustNew(Config{Core: AutoSelect, Epsilon: 0.25}).Kind(); got != PODS14 {
-		t.Errorf("probing auto engine Kind = %v, want pods14 before commit", got)
-	}
-}
-
-// TestAutoCommitsToFCS: a compact size distribution makes the auto
-// engine commit to the successor core, migrating every live object with
-// its size intact and the migration visible as flush-bracketed moves.
-func TestAutoCommitsToFCS(t *testing.T) {
-	coord := NewAutoCoordinator(256)
-	m := trace.NewMetrics()
-	e := MustNew(Config{Core: AutoSelect, Epsilon: 0.25, Recorder: m, Coordinator: coord, Paranoid: true})
-	sizes := map[ID]int64{}
-	for i := 1; i <= 400; i++ {
-		size := int64(i%16 + 1)
-		if err := e.Insert(ID(i), size); err != nil {
-			t.Fatal(err)
-		}
-		sizes[ID(i)] = size
-	}
-	if got := e.Kind(); got != FCS {
-		t.Fatalf("auto engine Kind = %v after compact probe, want fcs", got)
-	}
-	var vol int64
-	for id, size := range sizes {
-		got, ok := e.SizeOf(id)
-		if !ok || got != size {
-			t.Fatalf("object %d lost or resized across migration: %d, %v", id, got, ok)
-		}
-		vol += size
-	}
-	if e.Volume() != vol || e.Len() != len(sizes) {
-		t.Fatalf("migrated state: vol %d len %d, want %d/%d", e.Volume(), e.Len(), vol, len(sizes))
-	}
-	if m.Flushes == 0 {
-		t.Error("migration emitted no flush bracket")
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAutoStaysOnPODS: a heavy-tailed distribution keeps the reference
-// core.
-func TestAutoStaysOnPODS(t *testing.T) {
-	coord := NewAutoCoordinator(256)
-	e := MustNew(Config{Core: AutoSelect, Epsilon: 0.25, Coordinator: coord, Paranoid: true})
-	for i := 1; i <= 400; i++ {
-		size := int64(1)
-		if i%50 == 0 {
-			size = 1 << 20 // far beyond 64× the median of 1
-		}
-		if err := e.Insert(ID(i), size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.Kind(); got != PODS14 {
-		t.Errorf("auto engine Kind = %v on heavy tail, want pods14", got)
-	}
-	if c, ok := coord.Decided(); !ok || c != PODS14 {
-		t.Errorf("coordinator decision = %v, %v", c, ok)
-	}
-}
-
-// TestSharedCoordinatorHomogeneity: engines sharing one coordinator all
-// commit to the same core, even those that contributed no observations.
-func TestSharedCoordinatorHomogeneity(t *testing.T) {
-	coord := NewAutoCoordinator(64)
-	a := MustNew(Config{Core: AutoSelect, Epsilon: 0.25, Coordinator: coord})
-	b := MustNew(Config{Core: AutoSelect, Epsilon: 0.25, Coordinator: coord})
-	for i := 1; i <= 128; i++ {
-		if err := a.Insert(ID(i), int64(i%8+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.Kind() != FCS {
-		t.Fatalf("deciding engine Kind = %v, want fcs", a.Kind())
-	}
-	// b has never observed an insert; its first op adopts the decision.
-	if err := b.Insert(1000, 3); err != nil {
-		t.Fatal(err)
-	}
-	if b.Kind() != FCS {
-		t.Errorf("follower engine Kind = %v, want fcs via shared coordinator", b.Kind())
 	}
 }

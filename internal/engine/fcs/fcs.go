@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"realloc/internal/addrspace"
@@ -67,22 +68,18 @@ type Config struct {
 	// one atomic flush span (duration, moved volume, a single chunk).
 	Telemetry *telemetry.Set
 	// Arena is the payload backend relocations execute against. Nil
-	// defaults to the metered backend. Passing the previous engine's
-	// arena across an AutoSelect migration adopts its bytes in place.
+	// defaults to the metered backend.
 	Arena arena.Backend
 }
 
-// object is the bookkeeping record for one live object.
-type object struct {
-	size  int64
-	class int // size-class index
-	idx   int // slot index within the class
-}
-
 // class is one geometric size class: a list of fixed-width slots whose
-// occupied entries form a prefix.
+// occupied entries form a prefix. Each live object is placed in the
+// substrate with its class index as the tag, so the substrate's id table
+// is the only id map: an object's slot is found by binary search of its
+// start over starts, which ascends because slots are cut at the frontier
+// and rebuild reassigns them in order.
 type class struct {
-	starts []int64 // slot start addresses
+	starts []int64 // slot start addresses, ascending
 	ids    []ID    // ids[j] is the occupant of slot j, for j < occ
 	occ    int     // occupied-slot count; slots occ..len-1 are free
 }
@@ -96,7 +93,6 @@ type Reallocator struct {
 	rec     trace.Recorder
 	nullRec bool
 
-	objs    map[ID]*object
 	caps    []int64 // cap table, extended on demand
 	classes []class
 
@@ -107,7 +103,6 @@ type Reallocator struct {
 
 	// rebuild scratch, reused across rebuilds.
 	planBuf []planEntry
-	objPool []*object
 }
 
 // planEntry is one object's rebuild assignment.
@@ -140,7 +135,6 @@ func New(cfg Config) (*Reallocator, error) {
 		space:   addrspace.New(opts),
 		rec:     rec,
 		nullRec: nullRec,
-		objs:    make(map[ID]*object),
 		caps:    []int64{1},
 	}, nil
 }
@@ -173,7 +167,7 @@ func (r *Reallocator) StructSize() int64 { return r.allocEnd }
 func (r *Reallocator) Delta() int64 { return r.delta }
 
 // Len returns the number of live objects.
-func (r *Reallocator) Len() int { return len(r.objs) }
+func (r *Reallocator) Len() int { return r.space.Len() }
 
 // Flushes returns how many full rebuilds have run; rebuilds are this
 // core's flush analogue.
@@ -213,16 +207,14 @@ func (r *Reallocator) Extent(id ID) (addrspace.Extent, bool) {
 
 // Has reports whether id is live.
 func (r *Reallocator) Has(id ID) bool {
-	_, ok := r.objs[id]
+	_, ok := r.space.Extent(id)
 	return ok
 }
 
 // SizeOf returns the size of object id.
 func (r *Reallocator) SizeOf(id ID) (int64, bool) {
-	if o, ok := r.objs[id]; ok {
-		return o.size, true
-	}
-	return 0, false
+	ext, ok := r.space.Extent(id)
+	return ext.Size, ok
 }
 
 // ForEach visits live objects in address order.
@@ -262,7 +254,7 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 	if id == 0 {
 		return ErrBadID
 	}
-	if _, ok := r.objs[id]; ok {
+	if _, dup := r.space.Extent(id); dup {
 		return fmt.Errorf("%w: %d", ErrDuplicate, id)
 	}
 	c := r.classFor(size)
@@ -276,12 +268,9 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 		r.allocEnd += r.caps[c]
 	}
 	start := cl.starts[cl.occ]
-	if err := r.space.Place(id, addrspace.Extent{Start: start, Size: size}); err != nil {
+	if err := r.space.PlaceTagged(id, addrspace.Extent{Start: start, Size: size}, int32(c)); err != nil {
 		return err
 	}
-	obj := r.takeObject()
-	obj.size, obj.class, obj.idx = size, c, cl.occ
-	r.objs[id] = obj
 	cl.ids[cl.occ] = id
 	cl.occ++
 	r.vol += size
@@ -299,32 +288,33 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 // Delete services 〈DeleteObject, id〉. The class's last occupied object
 // swaps into the hole, restoring the prefix invariant with one move.
 func (r *Reallocator) Delete(id ID) error {
-	obj, ok := r.objs[id]
+	ext, c, ok := r.space.Lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	cl := &r.classes[obj.class]
+	cl := &r.classes[c]
+	j, found := slices.BinarySearch(cl.starts[:cl.occ], ext.Start)
+	if !found {
+		return fmt.Errorf("fcs: object %d at %v is in no slot of class %d", id, ext, c)
+	}
 	if err := r.space.Remove(id); err != nil {
 		return err
 	}
-	r.vol -= obj.size
-	delete(r.objs, id)
-	r.emit(trace.KDelete, id, obj.size, 0, 0)
+	r.vol -= ext.Size
+	r.emit(trace.KDelete, id, ext.Size, 0, 0)
 	last := cl.occ - 1
-	if obj.idx != last {
+	if j != last {
 		moverID := cl.ids[last]
-		mover := r.objs[moverID]
-		from, to := cl.starts[last], cl.starts[obj.idx]
+		mover, _ := r.space.Extent(moverID)
+		from, to := cl.starts[last], cl.starts[j]
 		if err := r.space.Move(moverID, to); err != nil {
 			return err
 		}
-		mover.idx = obj.idx
-		cl.ids[obj.idx] = moverID
-		r.emit(trace.KMove, moverID, mover.size, from, to)
+		cl.ids[j] = moverID
+		r.emit(trace.KMove, moverID, mover.Size, from, to)
 	}
 	cl.ids[last] = 0
 	cl.occ = last
-	r.putObject(obj)
 	if err := r.maybeRebuild(); err != nil {
 		return err
 	}
@@ -362,9 +352,10 @@ func (r *Reallocator) rebuild() error {
 		cl := &r.classes[c]
 		for j := 0; j < cl.occ; j++ {
 			id := cl.ids[j]
+			ext, _ := r.space.Extent(id)
 			plan = append(plan, planEntry{
 				id:     id,
-				size:   r.objs[id].size,
+				size:   ext.Size,
 				cur:    cl.starts[j],
 				target: cursor,
 			})
@@ -449,69 +440,6 @@ func (r *Reallocator) rebuild() error {
 	return nil
 }
 
-// Adopt ingests one live object during an engine switch: the placement
-// happens exactly like Insert, but the recorder sees a KMove from the
-// object's address in the previous engine, preserving address-tracking
-// continuity for observers. The caller brackets the adoption stream with
-// flush events and runs the rebuild check once at the end.
-func (r *Reallocator) Adopt(id ID, size int64, from int64) error {
-	if size < 1 {
-		return fmt.Errorf("%w: got %d", ErrBadSize, size)
-	}
-	if id == 0 {
-		return ErrBadID
-	}
-	if _, ok := r.objs[id]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicate, id)
-	}
-	c := r.classFor(size)
-	for len(r.classes) <= c {
-		r.classes = append(r.classes, class{})
-	}
-	cl := &r.classes[c]
-	if cl.occ == len(cl.starts) {
-		cl.starts = append(cl.starts, r.allocEnd)
-		cl.ids = append(cl.ids, 0)
-		r.allocEnd += r.caps[c]
-	}
-	start := cl.starts[cl.occ]
-	if err := r.space.Place(id, addrspace.Extent{Start: start, Size: size}); err != nil {
-		return err
-	}
-	obj := r.takeObject()
-	obj.size, obj.class, obj.idx = size, c, cl.occ
-	r.objs[id] = obj
-	cl.ids[cl.occ] = id
-	cl.occ++
-	r.vol += size
-	if size > r.delta {
-		r.delta = size
-	}
-	r.emit(trace.KMove, id, size, from, start)
-	return nil
-}
-
-// FinishAdoption runs the rebuild check after a batch of Adopt calls.
-// Pure adoption cuts only fresh slots, so the frontier is at most g·V
-// and no rebuild fires; the check is kept for safety.
-func (r *Reallocator) FinishAdoption() error { return r.maybeRebuild() }
-
-// takeObject returns a recycled object record, or a fresh one.
-func (r *Reallocator) takeObject() *object {
-	if n := len(r.objPool); n > 0 {
-		o := r.objPool[n-1]
-		r.objPool = r.objPool[:n-1]
-		return o
-	}
-	return new(object)
-}
-
-// putObject recycles a fully removed object's record.
-func (r *Reallocator) putObject(o *object) {
-	*o = object{}
-	r.objPool = append(r.objPool, o)
-}
-
 // maybeCheck runs CheckInvariants when Paranoid is set.
 func (r *Reallocator) maybeCheck() error {
 	if !r.cfg.Paranoid {
@@ -521,16 +449,14 @@ func (r *Reallocator) maybeCheck() error {
 }
 
 // CheckInvariants validates the full structure: the substrate, the slot
-// geometry, the prefix invariant, and the footprint budget.
+// geometry and its ascending order, each occupant's extent and class tag,
+// the prefix invariant, and the footprint budget.
 func (r *Reallocator) CheckInvariants() error {
 	if err := r.space.Verify(); err != nil {
 		return err
 	}
 	if v := r.space.Volume(); v != r.vol {
 		return fmt.Errorf("fcs: volume drift: bookkeeping %d, substrate %d", r.vol, v)
-	}
-	if n := r.space.Len(); n != len(r.objs) {
-		return fmt.Errorf("fcs: object count drift: bookkeeping %d, substrate %d", len(r.objs), n)
 	}
 	live := 0
 	type interval struct{ start, end int64 }
@@ -540,6 +466,11 @@ func (r *Reallocator) CheckInvariants() error {
 		cap := r.caps[c]
 		if cl.occ > len(cl.starts) {
 			return fmt.Errorf("fcs: class %d: occ %d exceeds %d slots", c, cl.occ, len(cl.starts))
+		}
+		for j := 1; j < len(cl.starts); j++ {
+			if cl.starts[j] <= cl.starts[j-1] {
+				return fmt.Errorf("fcs: class %d slot starts out of order: slot %d at %d, slot %d at %d", c, j-1, cl.starts[j-1], j, cl.starts[j])
+			}
 		}
 		for j, start := range cl.starts {
 			if start < 0 || start+cap > r.allocEnd {
@@ -551,24 +482,23 @@ func (r *Reallocator) CheckInvariants() error {
 			}
 			live++
 			id := cl.ids[j]
-			obj, ok := r.objs[id]
+			ext, tag, ok := r.space.Lookup(id)
 			if !ok {
 				return fmt.Errorf("fcs: class %d slot %d holds unknown id %d", c, j, id)
 			}
-			if obj.class != c || obj.idx != j {
-				return fmt.Errorf("fcs: object %d thinks it is at class %d slot %d, found at class %d slot %d", id, obj.class, obj.idx, c, j)
+			if int(tag) != c {
+				return fmt.Errorf("fcs: object %d in class %d slot %d carries tag %d", id, c, j, tag)
 			}
-			if obj.size > cap || (c > 0 && obj.size <= r.caps[c-1]) {
-				return fmt.Errorf("fcs: object %d size %d misclassified into class %d (cap %d)", id, obj.size, c, cap)
+			if ext.Size > cap || (c > 0 && ext.Size <= r.caps[c-1]) {
+				return fmt.Errorf("fcs: object %d size %d misclassified into class %d (cap %d)", id, ext.Size, c, cap)
 			}
-			ext, ok := r.space.Extent(id)
-			if !ok || ext.Start != start || ext.Size != obj.size {
-				return fmt.Errorf("fcs: object %d extent %v disagrees with slot start %d size %d", id, ext, start, obj.size)
+			if ext.Start != start {
+				return fmt.Errorf("fcs: object %d extent %v disagrees with slot start %d", id, ext, start)
 			}
 		}
 	}
-	if live != len(r.objs) {
-		return fmt.Errorf("fcs: %d objects in slots, %d registered", live, len(r.objs))
+	if n := r.space.Len(); live != n {
+		return fmt.Errorf("fcs: slots list %d objects, substrate holds %d", live, n)
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i].start < slots[j].start })
 	for i := 1; i < len(slots); i++ {

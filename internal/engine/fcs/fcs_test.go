@@ -165,39 +165,6 @@ func TestRebuildCollapsesFrontier(t *testing.T) {
 	}
 }
 
-// TestAdopt: adopted objects land like inserts but trace as moves, and
-// pure adoption never triggers a rebuild.
-func TestAdopt(t *testing.T) {
-	m := trace.NewMetrics()
-	r := mustNew(t, Config{Epsilon: 0.25, Recorder: m})
-	var vol int64
-	for i := int64(1); i <= 100; i++ {
-		size := i%13 + 1
-		if err := r.Adopt(ID(i), size, 1000+i); err != nil {
-			t.Fatal(err)
-		}
-		vol += size
-	}
-	if err := r.FinishAdoption(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Volume() != vol || r.Len() != 100 {
-		t.Fatalf("adopted state: vol %d len %d", r.Volume(), r.Len())
-	}
-	if m.Inserts != 0 {
-		t.Errorf("adoption recorded %d inserts; must trace as moves", m.Inserts)
-	}
-	if m.MovesTotal != 100 || m.MovedVolume != vol {
-		t.Errorf("adoption traced %d moves / %d volume, want 100/%d", m.MovesTotal, m.MovedVolume, vol)
-	}
-	if r.Flushes() != 0 {
-		t.Errorf("pure adoption triggered %d rebuilds", r.Flushes())
-	}
-}
-
 // TestRandomizedInvariants is the core property test: a seeded random
 // churn with paranoid checking after every op, asserting the footprint
 // budget at every quiescent point and full state fidelity at the end.

@@ -29,10 +29,6 @@ func FuzzCrossCore(f *testing.F) {
 		}{
 			{"pods14", Config{Core: PODS14, Epsilon: 0.3, Paranoid: true, TrackCells: true}},
 			{"fcs", Config{Core: FCS, Epsilon: 0.3, Paranoid: true, TrackCells: true}},
-			// A tiny probe makes the auto engine commit (and migrate)
-			// inside even short fuzz inputs.
-			{"auto", Config{Core: AutoSelect, Epsilon: 0.3, Paranoid: true, TrackCells: true,
-				Coordinator: NewAutoCoordinator(32)}},
 		}
 		engines := make([]Engine, len(cfgs))
 		for i, c := range cfgs {

@@ -8,13 +8,13 @@ import (
 	"realloc/internal/workload"
 )
 
-// E16 sweeps cost against epsilon for every reallocation core behind the
-// engine boundary: the PODS'14 reference, the FCS successor, and the
-// auto-selecting engine, each replaying identical uniform, zipf, and
-// adversarial request sequences. Every core must keep the quiescent
-// footprint within (1+eps)·V, while the cost column shows each core's own
-// trade: the reference pays O((1/eps)log(1/eps)) per unit, the successor
-// O(1/eps) per unit plus geometric slot slack.
+// E16 sweeps cost against epsilon for both reallocation cores behind the
+// engine boundary, the PODS'14 reference and the FCS successor, each
+// replaying identical uniform, zipf, and adversarial request sequences.
+// Both cores must keep the quiescent footprint within (1+eps)·V, while
+// the cost column shows each core's own trade: the reference pays
+// O((1/eps)log(1/eps)) per unit, the successor O(1/eps) per unit plus
+// geometric slot slack.
 func E16(cfg Config) (*Result, error) {
 	res := &Result{ID: "E16", Title: "Cost vs epsilon across reallocation cores", Findings: map[string]float64{}}
 	cores, err := cfg.cores()
@@ -85,6 +85,6 @@ func E16(cfg Config) (*Result, error) {
 		}
 	}
 	res.Text = table.String() +
-		"\n\nShape check: every core's max footprint/V column stays below its 1+eps\nbound on every workload; the fcs rows' moved/requested stays within\nO(1/eps); the auto rows converge to whichever core fits the observed\nsize distribution and inherit its columns.\n"
+		"\n\nShape check: every core's max footprint/V column stays below its 1+eps\nbound on every workload; the fcs rows' moved/requested stays within\nO(1/eps).\n"
 	return res, nil
 }

@@ -52,11 +52,6 @@ func E17(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("E17: empty %s stream", wl.name)
 		}
 		for _, c := range cores {
-			if c == engine.AutoSelect {
-				// Auto commits to one of the concrete cores; the two
-				// concrete rows already cover both outcomes.
-				continue
-			}
 			for _, bk := range backends {
 				key := fmt.Sprintf("%s/%s/%s", wl.name, c, bk)
 				m := trace.NewMetrics()

@@ -30,8 +30,8 @@ type Config struct {
 	// Quick shrinks workloads for smoke tests and -short mode.
 	Quick bool
 	// Core optionally restricts cross-core experiments (E16, E17) to a
-	// single core, named as engine.ParseCore understands ("pods14",
-	// "fcs", "auto"). Empty means every core.
+	// single core, named as engine.ParseCore understands ("pods14" or
+	// "fcs"). Empty means both cores.
 	Core string
 	// Backend optionally restricts cross-backend experiments (E17) to a
 	// single payload backend, named as arena.ParseKind understands
@@ -55,7 +55,7 @@ func (c Config) telOpts(opts ...realloc.Option) []realloc.Option {
 
 // cores resolves the Core filter against the full panel.
 func (c Config) cores() ([]engine.Core, error) {
-	all := []engine.Core{engine.PODS14, engine.FCS, engine.AutoSelect}
+	all := []engine.Core{engine.PODS14, engine.FCS}
 	if c.Core == "" {
 		return all, nil
 	}
@@ -143,7 +143,7 @@ func All() []Experiment {
 		{"E15", "Lock-free front-end parallel scaling",
 			"Uncontended operations touch no shared mutable cache line except their own shard: routing is one atomic load, per-object reads take only a shard read lock, aggregate reads take none", E15},
 		{"E16", "Cost vs epsilon across reallocation cores",
-			"Engine boundary: the PODS'14 reference, the FCS successor, and the auto-selecting engine all hold footprint <= (1+eps)*V at quiescence on uniform, zipf, and adversarial workloads, each inside its own per-core cost bound", E16},
+			"Engine boundary: the PODS'14 reference and the FCS successor both hold footprint <= (1+eps)*V at quiescence on uniform, zipf, and adversarial workloads, each inside its own per-core cost bound", E16},
 		{"E17", "Metered cost model vs real memmove backends",
 			"Backend boundary: replaying identical streams, the metered counter, the trace's moved volume, and the bytes a real arena physically memmoves agree exactly (one cell = one byte); the measured copy throughput prices the moved-volume unit in wall-clock", E17},
 	}

@@ -377,7 +377,7 @@ func TestE16Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wl := range []string{"uniform", "zipf", "adversarial"} {
-		for _, c := range []string{"pods14", "fcs", "auto"} {
+		for _, c := range []string{"pods14", "fcs"} {
 			for _, eps := range []string{"0.5", "0.25", "0.1"} {
 				key := wl + "/" + c + "/" + eps
 				ratio, ok := res.Findings[key+"/quiescentRatio"]
@@ -421,7 +421,7 @@ func TestE16Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key := range only.Findings {
-		if strings.Contains(key, "/pods14/") || strings.Contains(key, "/auto/") {
+		if strings.Contains(key, "/pods14/") {
 			t.Errorf("Core=fcs run still produced %s", key)
 		}
 	}

@@ -38,10 +38,6 @@ const (
 	// amortized O(w/ε) moved volume per size-w update, Amortized variant
 	// only.
 	CoreFCS
-	// CoreAutoSelect probes the workload on the reference core and then
-	// commits each structure to the core the observed size distribution
-	// favors. Amortized variant only.
-	CoreAutoSelect
 )
 
 func (c Core) String() string { return engine.Core(c).String() }
@@ -145,9 +141,8 @@ func (c *config) resolveCore() (engine.Core, error) {
 }
 
 // buildEngine constructs one engine from the resolved core and this
-// config; coord shares an AutoSelect decision across shards (nil for the
-// single-structure facade).
-func (c *config) buildEngine(ec engine.Core, rec trace.Recorder, coord *engine.AutoCoordinator, tel *telemetry.Set) (engine.Engine, error) {
+// config.
+func (c *config) buildEngine(ec engine.Core, rec trace.Recorder, tel *telemetry.Set) (engine.Engine, error) {
 	// Each engine owns a private arena: shards never share payload
 	// memory, so per-shard relocations memmove without cross-shard
 	// coordination.
@@ -163,7 +158,6 @@ func (c *config) buildEngine(ec engine.Core, rec trace.Recorder, coord *engine.A
 		Recorder:    rec,
 		Paranoid:    c.paranoid,
 		SerialFlush: c.serialFlush,
-		Coordinator: coord,
 		Telemetry:   tel,
 		Arena:       data,
 	})
@@ -192,8 +186,8 @@ func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps 
 func WithVariant(v Variant) Option { return func(c *config) { c.variant = v } }
 
 // WithCore selects the reallocation core. Default CorePODS14; when the
-// option is absent, the REALLOC_CORE environment variable ("pods14",
-// "fcs", "auto") picks the core instead wherever the requested variant
+// option is absent, the REALLOC_CORE environment variable ("pods14" or
+// "fcs") picks the core instead wherever the requested variant
 // allows it. An explicit core that cannot run the requested variant is a
 // constructor error.
 func WithCore(c Core) Option {
@@ -282,6 +276,7 @@ func WithRebalance(p RebalancePolicy) Option {
 // reallocator.
 type Reallocator struct {
 	inner   engine.Engine
+	core    Core // fixed at construction
 	metrics *trace.Metrics
 	mu      *sync.Mutex // non-nil iff WithLocking
 	// tel is this structure's telemetry set (nil without WithTelemetry);
@@ -353,11 +348,11 @@ func New(opts ...Option) (*Reallocator, error) {
 	if cfg.tel != nil {
 		set = cfg.tel.Shard(0)
 	}
-	inner, err := cfg.buildEngine(ec, rec, nil, set)
+	inner, err := cfg.buildEngine(ec, rec, set)
 	if err != nil {
 		return nil, err
 	}
-	out := &Reallocator{inner: inner, metrics: m, tel: set, telReg: cfg.tel}
+	out := &Reallocator{inner: inner, core: Core(ec), metrics: m, tel: set, telReg: cfg.tel}
 	if cfg.locking {
 		out.mu = new(sync.Mutex)
 	}
@@ -442,13 +437,8 @@ func (r *Reallocator) Epsilon() float64 {
 	return r.inner.Epsilon()
 }
 
-// Core reports the core the reallocator is running. For CoreAutoSelect
-// it reports the committed core — CorePODS14 while the probe is still
-// observing the workload.
-func (r *Reallocator) Core() Core {
-	defer r.lock()()
-	return Core(r.inner.Kind())
-}
+// Core reports the core the reallocator runs, fixed at construction.
+func (r *Reallocator) Core() Core { return r.core }
 
 // Flushes returns how many buffer flushes have run.
 func (r *Reallocator) Flushes() int64 {

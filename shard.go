@@ -57,6 +57,7 @@ import (
 type ShardedReallocator struct {
 	shards  []*shard
 	epsilon float64
+	core    Core // fixed at construction
 	router  *router
 	// observer is the user callback events are delivered to; migration
 	// events are emitted here directly (per-shard events go through each
@@ -352,9 +353,14 @@ func NewSharded(opts ...Option) (*ShardedReallocator, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("realloc: shard count must be >= 1, got %d", n)
 	}
+	ec, err := cfg.resolveCore()
+	if err != nil {
+		return nil, err
+	}
 	s := &ShardedReallocator{
 		shards:   make([]*shard, n),
 		epsilon:  cfg.epsilon,
+		core:     Core(ec),
 		router:   newRouter(n),
 		observer: cfg.observer,
 		pol:      rebalance.Policy{}.WithDefaults(),
@@ -371,24 +377,13 @@ func NewSharded(opts ...Option) (*ShardedReallocator, error) {
 	}
 	s.telScratch.New = func() any { return new(telemetry.Snapshot) }
 	s.applyPool.New = func() any { return new(shardedApplyScratch) }
-	ec, err := cfg.resolveCore()
-	if err != nil {
-		return nil, err
-	}
-	// One coordinator serves every shard, so an AutoSelect fleet makes a
-	// single core decision from the pooled size distribution; each shard
-	// adopts it lazily at its next operation, under its own lock.
-	var coord *engine.AutoCoordinator
-	if ec == engine.AutoSelect {
-		coord = engine.NewAutoCoordinator(0)
-	}
 	for i := range s.shards {
 		rec, m := newRecorder(&cfg, i)
 		var set *telemetry.Set
 		if cfg.tel != nil {
 			set = cfg.tel.Shard(i)
 		}
-		inner, err := cfg.buildEngine(ec, rec, coord, set)
+		inner, err := cfg.buildEngine(ec, rec, set)
 		if err != nil {
 			return nil, err
 		}
@@ -617,17 +612,8 @@ func (s *ShardedReallocator) Delta() int64 {
 // Epsilon returns the configured footprint slack (shared by all shards).
 func (s *ShardedReallocator) Epsilon() float64 { return s.epsilon }
 
-// Core reports the core the shards are running. With CoreAutoSelect the
-// decision is shared — every shard commits to the same core — but each
-// shard adopts it at its next operation, so shard 0's view (reported
-// here) may briefly lead shards that have not operated since the
-// decision.
-func (s *ShardedReallocator) Core() Core {
-	sh := s.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return Core(sh.inner.Kind())
-}
+// Core reports the core every shard runs, fixed at construction.
+func (s *ShardedReallocator) Core() Core { return s.core }
 
 // Flushes returns the total buffer flushes summed over shards, lock-free
 // from the per-shard mirrors.
