@@ -328,9 +328,11 @@
 //
 // # Performance
 //
-// Atomic flushes — the hot path that relocates nearly every object of a
-// suffix of the structure — execute as one batched move plan: the
-// schedule names each object by its rank in the flushed suffix of the
+// Every flush schedule, FCS rebuilds included, runs through one
+// substrate move session. Atomic flushes — the hot path that relocates
+// nearly every object of a suffix of the structure — run as one
+// whole-plan chunk: the schedule names each object by its rank in the
+// flushed suffix of the
 // address-ordered index (a two-level blocked structure), whose entries
 // carry a tag naming the engine's record, so planning and validation
 // resolve objects by position and never hash an id; the plan is applied
@@ -347,9 +349,9 @@
 // so a batch commit writes each moved extent by slot without hashing,
 // and a rebuild (once entries and tombstones pass 3/4 of the slots)
 // rewrites those slots. A deamortized flush spreads one schedule
-// across many requests as quota-bounded chunks; it runs through a
-// resumable executor session that validates the plan once and reconciles
-// the index incrementally per chunk — a chunk of k moves pays
+// across many requests as quota-bounded chunks of the same session,
+// which validates the plan once and reconciles the index incrementally
+// per chunk — a chunk of k moves pays
 // O(k + B + log n) index work with no observer attached, and
 // O(k·(log n + B)) when per-move footprints must be reported to one —
 // in either case independent of how large the structure is. The
@@ -363,18 +365,19 @@
 // O(log n + B); a flush is O(n + m) bookkeeping amortized over the
 // Θ(ε·V) volume of requests that filled the buffers; a deamortized
 // request advances an active flush by a volume-bounded chunk at
-// O(k + B + log n) for its k moves (O(k·(log n + B)) with an observer). On one core at 10^6 live cells the
-// executors serve steady churn 3–5x faster than the per-move path for
-// every variant — the deamortized variant is within 1.5x of the amortized
-// one (see BenchmarkChurnScaling and the README table) — with 0 allocs/op
-// across the sweep. CI gates the 1e5→1e6 per-op ratio via cmd/benchgate
-// and persists a BENCH_ci_churn.json trajectory record per run.
+// O(k + B + log n) for its k moves (O(k·(log n + B)) with an observer).
+// Steady churn runs at 0 allocs/op from 10^4 to 10^6 live cells (see
+// BenchmarkChurnScaling and the README table). CI gates the 1e5→1e6
+// per-op ratio via cmd/benchgate and persists a BENCH_ci_churn.json
+// trajectory record per run.
 //
 // Observable behavior is unchanged: observers receive the identical
 // per-move event sequence — footprints, checkpoints, counters — that
-// per-move execution produces. WithSerialFlush forces that reference
-// path, and differential tests drive both and assert equality of event
-// streams, layouts, footprint series, and stats.
+// per-move execution produces. The core's differential test
+// (TestBatchedSerialEquivalence in internal/core) drives every variant
+// through both the move session and the per-move reference path and
+// asserts equality of event streams, layouts, footprint series, and
+// stats.
 //
 // The package also exposes the paper's corollaries: a crash-consistent
 // database block store built on a translation layer (BlockStore), a

@@ -112,15 +112,19 @@ type Space struct {
 
 	cells []ID // cell-level data residue, if TrackCells
 
-	batch   *batchState  // reusable move-plan scratch, allocated on first use
-	session *MoveSession // active resumable move session, if any
+	batch *batchState // reusable move-plan scratch, allocated on first use
 
 	volume        int64 // total live volume
 	checkpoints   int64 // checkpoints taken
 	blockedWrites int64 // writes that observed ErrWouldBlock
 	moves         int64
 	places        int64
-	moveNanos     int64 // wall-clock time in batched move loops (real backends)
+	moveNanos     int64 // wall-clock time in move-session chunk loops (real backends)
+
+	// session is the one move session, active while its plan is set. It
+	// comes last: placed before the counters, its 88 bytes would split
+	// the ones every placement updates across two cache lines.
+	session MoveSession
 }
 
 // New creates an empty Space with the given rules.
@@ -154,7 +158,8 @@ func (s *Space) Checkpoints() int64 { return s.checkpoints }
 // freed-since-checkpoint space.
 func (s *Space) BlockedWrites() int64 { return s.blockedWrites }
 
-// Moves returns the number of successful Move calls.
+// Moves returns the number of relocations applied: successful Move calls
+// and every non-no-op plan step a move session executed.
 func (s *Space) Moves() int64 { return s.moves }
 
 // Places returns the number of successful Place calls.
@@ -253,7 +258,8 @@ func (s *Space) checkTarget(ext Extent, id ID, moving bool, selfExt Extent) erro
 // relocatePlacement moves id's entry, tag and slot included, from extent
 // old to extent ext. The exact lookup panics on an index desync (see
 // pindex.find). Single moves outside flush plans (log drains,
-// defragmentation) take this path; flushes go through ApplyMoves.
+// defragmentation, swap-with-last) take this path; flush plans run
+// through a MoveSession.
 func (s *Space) relocatePlacement(id ID, old, ext Extent) {
 	at := s.byStart.find(id, old)
 	p := s.byStart.at(at)
@@ -336,16 +342,31 @@ func (s *Space) Move(id ID, newStart int64) error {
 		s.data.Copy(ext.Start, old.Start, old.Size)
 	}
 	if s.opts.CheckpointRule {
-		// The part of the old extent not covered by the new one is freed.
-		// With strict nonoverlap that is all of it; with memmove semantics
-		// only the uncovered remainder is.
-		var pieces [2]Extent
-		for _, piece := range pieces[:subtract(old, ext, &pieces)] {
-			s.freed.add(piece)
-		}
+		s.vacate(old, ext) // checkTarget ruled out blocking
 	}
 	s.moves++
 	return nil
+}
+
+// vacate applies the checkpoint rule to one relocation from old to
+// target. A target in space freed since the last checkpoint counts a
+// blocked write and takes (and counts) a checkpoint, reported as true:
+// the transparent blocking the per-move path implements by retrying
+// Move. Then the part of old that target does not cover is freed: with
+// strict nonoverlap all of it, with memmove semantics only the uncovered
+// remainder. Every executor calls it under CheckpointRule only, so RAM
+// moves pay no call.
+func (s *Space) vacate(old, target Extent) (checkpointed bool) {
+	if s.freed.intersects(target) {
+		s.blockedWrites++
+		s.Checkpoint()
+		checkpointed = true
+	}
+	var pieces [2]Extent
+	for _, piece := range pieces[:subtract(old, target, &pieces)] {
+		s.freed.add(piece)
+	}
+	return checkpointed
 }
 
 // Remove frees the object's space. Under the checkpoint rule the extent

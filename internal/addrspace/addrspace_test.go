@@ -261,7 +261,10 @@ func TestIndexDesyncPanics(t *testing.T) {
 		blk[1].slot = blk[2].slot
 	}
 	mustPanic("commit", reslot, func(s *Space) error {
-		_, _, err := s.ApplyMoves([]Relocation{{ID: 2, To: 40, Ref: 1}}, 0, nil, 1<<40, nil)
+		sess, err := begin(s, []Relocation{{ID: 2, To: 40, Ref: 1}}, 0)
+		if err == nil {
+			_, _, err = sess.Advance(1<<40, nil)
+		}
 		return err
 	})
 }

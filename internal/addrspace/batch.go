@@ -5,20 +5,22 @@ import (
 	"slices"
 )
 
-// This file implements batched move-plan execution: the flush hot path.
+// This file implements move-plan validation and the whole-plan path of a
+// MoveSession (see session.go): the flush hot path.
 //
 // A buffer flush relocates nearly every object of the flushed suffix, and
 // executing it through Move would pay a sorted-slice rotation per object —
-// O(m·n) bookkeeping for an O(m)-volume flush. ApplyMoves instead validates
-// the whole plan once and rebuilds the index suffix the plan was built
-// against in a single merge pass: for a suffix of n entries and a plan of
-// m steps, O(n + m) when the caller supplies the final order (O(n + m log
-// m) when the executor must sort it), plus a lazy max-heap of footprints
-// only when an observer wants them per move. It produces byte-for-byte the
-// same observable sequence (per-move footprints, checkpoints, blocked-write
-// and move counters, cell stamps) as the per-move path. The per-move path
-// remains the reference semantics; the differential tests in core and the
-// cross-check tests here drive both and assert equality.
+// O(m·n) bookkeeping for an O(m)-volume flush. BeginMoves instead
+// validates the whole plan once, and an Advance that consumes it in one
+// chunk rebuilds the index suffix the plan was built against in a single
+// merge pass: for a suffix of n entries and a plan of m steps, O(n + m),
+// because the caller supplies the final order, plus a lazy max-heap of
+// footprints only when an observer wants them per move. It produces
+// byte-for-byte the same observable sequence (per-move footprints,
+// checkpoints, blocked-write and move counters, cell stamps) as the
+// per-move path. The per-move path remains the reference semantics; the
+// differential tests in core and the cross-check tests here drive both
+// and assert equality.
 //
 // A plan is bound to the index suffix from an address the caller names
 // (from): Relocation.Ref is the object's rank in that suffix, so the
@@ -26,7 +28,7 @@ import (
 // — and keeps all per-object working state in dense slices indexed by
 // rank. Rank order is address order, which lets the merge skip net-moved
 // entries and the footprint cursor step over moved ones without sorting.
-// The scratch is reused across calls: steady-state flushes allocate
+// The scratch is reused across plans: steady-state flushes allocate
 // nothing.
 
 // Relocation is one step of a move plan: relocate ID so that it starts at
@@ -55,8 +57,8 @@ type MoveResult struct {
 	Checkpointed bool
 }
 
-// batchState holds the dense scratch ApplyMoves reuses across calls. The
-// per-rank slices are indexed by Relocation.Ref and cleared lazily via
+// batchState holds the dense scratch move sessions reuse across plans.
+// The per-rank slices are indexed by Relocation.Ref and cleared lazily via
 // the touched list.
 type batchState struct {
 	suffix   []placement // the index suffix the plan is bound to, by rank
@@ -116,86 +118,28 @@ func (s *Space) batchState(cut pos) *batchState {
 	return b
 }
 
-// ApplyMoves executes plan in order, stopping early once the applied
-// (non-no-op) volume reaches budget: entries keep being consumed while the
-// volume applied so far is below budget, exactly mirroring a quota-driven
-// loop over Move. The plan is bound to the index suffix from address from
-// as it stands at the call: every Ref is a rank in that suffix (so the
-// rest of a partially applied plan must be rebound before it resumes) and
-// every target lies at or beyond from. It returns how many plan entries
-// were consumed and the volume they moved.
-//
-// finalOrder, if non-nil, lists refs in ascending order of their final
-// position, letting the index rebuild skip its sort; refs that never
-// appear in the consumed prefix are ignored. Pass nil when a budget may
-// cut the plan short of its final layout.
-//
-// The whole consumed prefix is validated before anything mutates: refs
-// out of range, refs naming a different object (ErrUnknownObject),
-// targets below from (ErrBadExtent), strict-rule self-overlaps, and any
-// overlap in the resulting layout (moved targets against each other and
-// against unmoved objects) fail the call with the Space untouched.
-// Intermediate layouts are the caller's responsibility — flush schedules
-// guarantee them by construction, and WithInvariantChecks cross-checks
-// every batch against a full substrate Verify.
-//
-// Under the checkpoint rule, a relocation whose target intersects space
-// freed since the last checkpoint counts a blocked write, takes (and
-// counts) a checkpoint, and proceeds — the same transparent blocking the
-// per-move path implements by retrying Move.
-//
-// emit, if non-nil, observes every applied relocation in order with exact
-// per-move footprints. Object positions (Extent) are visible to it exactly
-// as the per-move path would show them — in particular the checkpoint
-// hooks of a block translation layer snapshot correct addresses — but
-// index-derived queries (MaxEnd, ForEach, further mutations) are off
-// limits inside the callback: the index is rebuilt after the walk.
-//
-// Quota-bounded flush plans that span many requests should use BeginMoves
-// instead: a session validates once and advances chunk by chunk without
-// re-flattening the index suffix per chunk.
-func (s *Space) ApplyMoves(plan []Relocation, from int64, finalOrder []int32, budget int64, emit func(MoveResult)) (consumed int, volume int64, err error) {
-	if len(plan) == 0 || budget <= 0 {
-		return 0, 0, nil
-	}
-	if s.session != nil {
-		return 0, 0, fmt.Errorf("addrspace: ApplyMoves while a move session is active")
-	}
-	b, consumed, cutPos, _, err := s.simulatePlan(plan, from, finalOrder, budget)
-	if err != nil {
-		return 0, 0, err
-	}
-	volume = s.executeBulk(plan, b, consumed, cutPos, emit)
-	return consumed, volume, nil
-}
-
-// simulatePlan is the validation pass shared by ApplyMoves and BeginMoves:
-// it binds plan to the index suffix from address from, simulates the
-// prefix of plan that a quota of budget volume consumes, builds the net
-// final layout (b.finals) and the merged index suffix (b.merged), and
-// validates the whole result — refs, bad targets, strict-rule
-// self-overlaps, and any overlap in the final layout fail the call with
-// the Space untouched. It returns the populated scratch, the number of
-// consumed plan entries, the index cut position, and the volume the
-// consumed prefix applies.
-func (s *Space) simulatePlan(plan []Relocation, from int64, finalOrder []int32, budget int64) (b *batchState, consumed int, cutPos pos, volume int64, err error) {
+// simulatePlan is BeginMoves' validation pass: it binds plan to the index
+// suffix from address from, simulates the whole plan, builds the net
+// final layout (b.finals) in the order finalOrder lists it and the merged
+// index suffix (b.merged), and validates the whole result — refs, bad
+// targets, strict-rule self-overlaps, the final order, and any overlap in
+// the final layout fail the call with the Space untouched. It returns the
+// populated scratch, the index cut position, and the volume the plan
+// applies.
+func (s *Space) simulatePlan(plan []Relocation, from int64, finalOrder []int32) (b *batchState, cutPos pos, volume int64, err error) {
 	cutPos = s.byStart.lowerBound(from)
 	b = s.batchState(cutPos)
 	n := int32(len(b.suffix))
 	base := max(from, 0)
 
-	// Pass 1: bind, simulate, and validate the consumed prefix.
-	var vol int64
+	// Pass 1: bind, simulate, and validate every step.
 	for _, mv := range plan {
-		if vol >= budget {
-			break
-		}
 		if mv.Ref < 0 || mv.Ref >= n {
-			return nil, 0, pos{}, 0, fmt.Errorf("addrspace: relocation ref %d out of range [0,%d)", mv.Ref, n)
+			return nil, pos{}, 0, fmt.Errorf("addrspace: relocation ref %d out of range [0,%d)", mv.Ref, n)
 		}
 		p := &b.suffix[mv.Ref]
 		if p.id != mv.ID {
-			return nil, 0, pos{}, 0, fmt.Errorf("%w: %d (ref %d names object %d)", ErrUnknownObject, mv.ID, mv.Ref, p.id)
+			return nil, pos{}, 0, fmt.Errorf("%w: %d (ref %d names object %d)", ErrUnknownObject, mv.ID, mv.Ref, p.id)
 		}
 		if b.mark[mv.Ref]&markBound == 0 {
 			b.mark[mv.Ref] |= markBound
@@ -209,55 +153,42 @@ func (s *Space) simulatePlan(plan []Relocation, from int64, finalOrder []int32, 
 		}
 		target := Extent{Start: mv.To, Size: old.Size}
 		if target.Start < base {
-			return nil, 0, pos{}, 0, fmt.Errorf("%w: %v below the plan's base %d", ErrBadExtent, target, base)
+			return nil, pos{}, 0, fmt.Errorf("%w: %v below the plan's base %d", ErrBadExtent, target, base)
 		}
 		if s.opts.StrictNonOverlap && target.Overlaps(old) {
-			return nil, 0, pos{}, 0, fmt.Errorf("%w: %v vs %v", ErrSelfOverlap, target, old)
+			return nil, pos{}, 0, fmt.Errorf("%w: %v vs %v", ErrSelfOverlap, target, old)
 		}
 		b.curStart[mv.Ref] = target.Start
-		vol += target.Size
+		volume += target.Size
 	}
-	consumed = len(b.oldSteps)
 
-	// The net result of the consumed prefix: objects whose final start
-	// differs from their current one. Objects a plan moves and later moves
-	// back keep their index entry.
-	if finalOrder != nil {
-		prevStart := int64(-1)
-		matched := 0
-		for _, ref := range finalOrder {
-			if ref < 0 || ref >= n || b.mark[ref]&markBound == 0 {
-				continue // not part of the consumed prefix
-			}
-			if b.mark[ref]&markListed != 0 {
-				return nil, 0, pos{}, 0, fmt.Errorf("addrspace: ref %d listed twice in final order", ref)
-			}
-			b.mark[ref] |= markListed
-			matched++
-			f := b.suffix[ref]
-			if b.curStart[ref] == f.ext.Start {
-				continue
-			}
-			if b.curStart[ref] < prevStart {
-				return nil, 0, pos{}, 0, fmt.Errorf("addrspace: final order not sorted at ref %d", ref)
-			}
-			prevStart = b.curStart[ref]
-			f.ext.Start = b.curStart[ref]
-			b.finals = append(b.finals, f)
+	// The net result of the plan, in final order: objects whose final
+	// start differs from their current one. Objects a plan moves and later
+	// moves back keep their index entry.
+	prevStart := int64(-1)
+	matched := 0
+	for _, ref := range finalOrder {
+		if ref < 0 || ref >= n || b.mark[ref]&markBound == 0 {
+			continue // not part of the plan
 		}
-		if matched != len(b.touched) {
-			return nil, 0, pos{}, 0, fmt.Errorf("addrspace: final order covers %d of %d plan objects", matched, len(b.touched))
+		if b.mark[ref]&markListed != 0 {
+			return nil, pos{}, 0, fmt.Errorf("addrspace: ref %d listed twice in final order", ref)
 		}
-	} else {
-		for _, ref := range b.touched {
-			f := b.suffix[ref]
-			if b.curStart[ref] == f.ext.Start {
-				continue
-			}
-			f.ext.Start = b.curStart[ref]
-			b.finals = append(b.finals, f)
+		b.mark[ref] |= markListed
+		matched++
+		f := b.suffix[ref]
+		if b.curStart[ref] == f.ext.Start {
+			continue
 		}
-		slices.SortFunc(b.finals, byStart)
+		if b.curStart[ref] < prevStart {
+			return nil, pos{}, 0, fmt.Errorf("addrspace: final order not sorted at ref %d", ref)
+		}
+		prevStart = b.curStart[ref]
+		f.ext.Start = b.curStart[ref]
+		b.finals = append(b.finals, f)
+	}
+	if matched != len(b.touched) {
+		return nil, pos{}, 0, fmt.Errorf("addrspace: final order covers %d of %d plan objects", matched, len(b.touched))
 	}
 
 	// Validate the resulting layout and build the merged index suffix in
@@ -289,13 +220,13 @@ func (s *Space) simulatePlan(plan []Relocation, from int64, finalOrder []int32, 
 			j++
 		}
 		if havePrev && prev.ext.End() > next.ext.Start {
-			return nil, 0, pos{}, 0, fmt.Errorf("%w: plan lands %d at %v over %d at %v",
+			return nil, pos{}, 0, fmt.Errorf("%w: plan lands %d at %v over %d at %v",
 				ErrOverlap, next.id, next.ext, prev.id, prev.ext)
 		}
 		b.merged = append(b.merged, next)
 		prev, havePrev = next, true
 	}
-	return b, consumed, cutPos, vol, nil
+	return b, cutPos, volume, nil
 }
 
 // byStart orders placements by start address.
@@ -310,7 +241,7 @@ func byStart(a, c placement) int {
 	}
 }
 
-// executeBulk is pass 2 of a bulk batch: it applies plan[:consumed] using
+// executeBulk is a session's whole-plan chunk: it applies the plan using
 // the scratch simulatePlan populated, then commits the id table and
 // splices the pre-merged suffix into the index. Nothing in it can fail, so
 // counters, cell stamps, the id table, and the freed set evolve exactly
@@ -321,28 +252,25 @@ func byStart(a, c placement) int {
 // valid entry of a heap fed by every applied move. The id table is
 // synced lazily: eagerly only when a checkpoint exposes positions to
 // observers, in bulk otherwise. Either way it is written by the slot each
-// suffix entry records, without hashing: the suffix was flattened in this
-// batch, or, for a session, under an index generation no table rebuild
-// has moved on from. On a real backend the move loop is timed as one
-// chunk (MoveNanos); the commit is not.
-func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutPos pos, emit func(MoveResult)) (volume int64) {
+// suffix entry records, without hashing: the suffix was flattened under
+// an index generation no table rebuild has moved on from. On a real
+// backend the move loop is timed as one chunk (MoveNanos); the commit is
+// not.
+func (ms *MoveSession) executeBulk(emit func(MoveResult)) (volume int64) {
+	s, b, plan := ms.s, ms.b, ms.plan
 	// The last untouched entry has the largest end among them; only it can
 	// reach into the merged zone, and it is the footprint floor once every
 	// suffix entry has moved.
 	belowEnd := int64(0)
-	if pp, ok := s.byStart.prev(cutPos); ok {
+	if pp, ok := s.byStart.prev(ms.cut); ok {
 		belowEnd = s.byStart.at(pp).ext.End()
-	}
-	for _, ref := range b.touched {
-		b.curStart[ref] = b.suffix[ref].ext.Start
 	}
 	top := len(b.suffix) - 1
 	foot := s.MaxEnd()
 	synced := 0
-	volume = 0
 	midSync := false
 	t0 := s.moveClock()
-	for k, mv := range plan[:consumed] {
+	for k, mv := range plan {
 		oldStart := b.oldSteps[k]
 		if mv.To == oldStart {
 			continue
@@ -350,21 +278,12 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 		size := b.suffix[mv.Ref].ext.Size
 		target := Extent{Start: mv.To, Size: size}
 		checkpointed := false
-		if s.opts.CheckpointRule && s.freed.intersects(target) {
-			s.blockedWrites++
+		if s.opts.CheckpointRule && s.vacate(Extent{Start: oldStart, Size: size}, target) {
 			// Observers snapshot object positions on checkpoint events:
 			// bring the table up to date with every move applied so far.
 			b.syncObjects(s, plan, synced, k)
 			synced, midSync = k, true
-			s.Checkpoint()
 			checkpointed = true
-		}
-		if s.opts.CheckpointRule {
-			old := Extent{Start: oldStart, Size: size}
-			var pieces [2]Extent
-			for _, piece := range pieces[:subtract(old, target, &pieces)] {
-				s.freed.add(piece)
-			}
 		}
 		s.stampCells(target, mv.ID)
 		s.moves++
@@ -427,7 +346,7 @@ func (s *Space) executeBulk(plan []Relocation, b *batchState, consumed int, cutP
 			s.ids.setExt(f.slot, f.id, f.ext)
 		}
 	}
-	s.byStart.replaceSuffix(cutPos, b.merged)
+	s.byStart.replaceSuffix(ms.cut, b.merged)
 	return volume
 }
 

@@ -24,7 +24,7 @@ func spacePair(opts Options, build func(*Space) error) (*Space, *Space, error) {
 
 // ranked binds plan to s's index suffix from address from: it sets each
 // relocation's Ref to its object's rank among the live objects starting
-// at or after from — the handle ApplyMoves and BeginMoves expect.
+// at or after from — the handle BeginMoves expects.
 // Relocations of objects outside that suffix keep their Ref.
 func ranked(s *Space, from int64, plan []Relocation) []Relocation {
 	rank := map[ID]int32{}
@@ -41,8 +41,14 @@ func ranked(s *Space, from int64, plan []Relocation) []Relocation {
 	return plan
 }
 
+// begin starts a session on plan, bound to the index suffix from address
+// from, with the final order flush schedules hand it (finalOrderOf).
+func begin(s *Space, plan []Relocation, from int64) (*MoveSession, error) {
+	return s.BeginMoves(plan, from, finalOrderOf(plan))
+}
+
 // applySerial replays a plan through Move with the per-move blocking
-// loop, recording the same observables ApplyMoves reports.
+// loop, recording the same observables a session's emitter reports.
 func applySerial(t *testing.T, s *Space, plan []Relocation, budget int64) (int, int64, []MoveResult) {
 	t.Helper()
 	var out []MoveResult
@@ -78,10 +84,11 @@ func applySerial(t *testing.T, s *Space, plan []Relocation, budget int64) (int, 
 	return len(plan), vol, out
 }
 
-// TestApplyMovesMatchesSerial cross-checks ApplyMoves against per-move
-// execution on randomized compaction-style plans, for both rule sets and
-// with quota-bounded partial application.
-func TestApplyMovesMatchesSerial(t *testing.T) {
+// TestSessionMatchesSerial cross-checks a session's first chunk against
+// per-move execution on randomized compaction-style plans, for both rule
+// sets: the whole plan in one chunk on even seeds, a quota-bounded
+// partial chunk on odd ones.
+func TestSessionMatchesSerial(t *testing.T) {
 	for _, opts := range []Options{RAM(), Durable()} {
 		for seed := uint64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0xba7c4))
@@ -133,10 +140,14 @@ func TestApplyMovesMatchesSerial(t *testing.T) {
 			if seed%2 == 1 {
 				budget = 1 + int64(rng.IntN(int(s.Volume()+1)))
 			}
-			var got applyRecorder
-			consumed, vol, err := s.ApplyMoves(plan, 0, nil, budget, got.add)
+			sess, err := begin(s, plan, 0)
 			if err != nil {
-				t.Fatalf("opts %+v seed %d: ApplyMoves: %v", opts, seed, err)
+				t.Fatalf("opts %+v seed %d: BeginMoves: %v", opts, seed, err)
+			}
+			var got applyRecorder
+			consumed, vol, err := sess.Advance(budget, got.add)
+			if err != nil {
+				t.Fatalf("opts %+v seed %d: Advance: %v", opts, seed, err)
 			}
 			wantConsumed, wantVol, want := applySerial(t, mirror, plan, budget)
 
@@ -173,11 +184,11 @@ func TestApplyMovesMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestApplyMovesValidation exercises the up-front plan validation: every
+// TestSessionValidation exercises the up-front plan validation: every
 // rejection leaves the space untouched. Refs are suffix ranks: with
 // objects 1, 2, 3 at 0, 10, 20, the suffix from 0 ranks them 0, 1, 2 and
 // the suffix from 10 ranks objects 2 and 3 as 0 and 1.
-func TestApplyMovesValidation(t *testing.T) {
+func TestSessionValidation(t *testing.T) {
 	build := func(opts Options) *Space {
 		s := New(opts)
 		for i, ext := range []Extent{{0, 4}, {10, 4}, {20, 4}} {
@@ -219,40 +230,37 @@ func TestApplyMovesValidation(t *testing.T) {
 		{"target below from", RAM(), 10, []Relocation{{ID: 2, To: 5, Ref: 0}}, ErrBadExtent},
 	}
 	for _, c := range cases {
-		for _, session := range []bool{false, true} {
-			s := build(c.opts)
-			before, moves := snapshot(s), s.Moves()
-			var err error
-			if session {
-				_, err = s.BeginMoves(c.plan, c.from, nil)
-			} else {
-				_, _, err = s.ApplyMoves(c.plan, c.from, nil, 1<<40, nil)
-			}
-			if c.want != nil && !errors.Is(err, c.want) {
-				t.Errorf("%s (session %v): got error %v, want %v", c.name, session, err, c.want)
-			}
-			if err == nil {
-				t.Errorf("%s (session %v): invalid plan accepted", c.name, session)
-			}
-			if !slices.Equal(snapshot(s), before) || s.Moves() != moves {
-				t.Errorf("%s (session %v): rejected plan mutated the space", c.name, session)
-			}
-			if err := s.Verify(); err != nil {
-				t.Errorf("%s (session %v): verify after rejection: %v", c.name, session, err)
-			}
+		s := build(c.opts)
+		before, moves := snapshot(s), s.Moves()
+		_, err := begin(s, c.plan, c.from)
+		if c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("%s: got error %v, want %v", c.name, err, c.want)
+		}
+		if err == nil {
+			t.Errorf("%s: invalid plan accepted", c.name)
+		}
+		if !slices.Equal(snapshot(s), before) || s.Moves() != moves {
+			t.Errorf("%s: rejected plan mutated the space", c.name)
+		}
+		if err := s.Verify(); err != nil {
+			t.Errorf("%s: verify after rejection: %v", c.name, err)
 		}
 	}
 	// Memmove semantics allow self-overlap without strict mode.
 	s := build(RAM())
-	if _, _, err := s.ApplyMoves([]Relocation{{ID: 1, To: 2}}, 0, nil, 1<<40, nil); err != nil {
+	sess, err := begin(s, []Relocation{{ID: 1, To: 2}}, 0)
+	if err == nil {
+		_, _, err = sess.Advance(1<<40, nil)
+	}
+	if err != nil {
 		t.Errorf("memmove self overlap rejected: %v", err)
 	}
 }
 
-// TestApplyMovesRevisits covers plans that move the same object several
+// TestSessionRevisits covers plans that move the same object several
 // times, including back to its origin (net no-op must keep its index
 // entry valid).
-func TestApplyMovesRevisits(t *testing.T) {
+func TestSessionRevisits(t *testing.T) {
 	s := New(RAM())
 	for i, ext := range []Extent{{0, 4}, {10, 4}} {
 		if err := s.Place(ID(i+1), ext); err != nil {
@@ -265,8 +273,12 @@ func TestApplyMovesRevisits(t *testing.T) {
 		{ID: 1, To: 0}, // back to origin: net no-op
 		{ID: 2, To: 4}, // pack against it
 	})
+	sess, err := begin(s, plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rec applyRecorder
-	consumed, vol, err := s.ApplyMoves(plan, 0, nil, 1<<40, rec.add)
+	consumed, vol, err := sess.Advance(1<<40, rec.add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +304,11 @@ func TestApplyMovesRevisits(t *testing.T) {
 	}
 }
 
-// TestApplyMovesBudget pins the quota semantics: entries are consumed
-// while the applied volume is below budget (overshooting by at most one
-// move), and no-ops consume entries but no budget.
-func TestApplyMovesBudget(t *testing.T) {
+// TestSessionBudget pins the quota semantics: entries are consumed while
+// the applied volume is below budget (overshooting by at most one move),
+// no-ops consume entries but no budget, and a second Advance resumes
+// where the first stopped.
+func TestSessionBudget(t *testing.T) {
 	s := New(RAM())
 	for i := 0; i < 4; i++ {
 		if err := s.Place(ID(i+1), Extent{Start: int64(i * 10), Size: 4}); err != nil {
@@ -308,7 +321,11 @@ func TestApplyMovesBudget(t *testing.T) {
 		{ID: 3, To: 60},  // 4 volume: crosses the budget, still applied
 		{ID: 4, To: 100}, // not reached
 	})
-	consumed, vol, err := s.ApplyMoves(plan, 0, nil, 5, nil)
+	sess, err := begin(s, plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed, vol, err := sess.Advance(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +335,11 @@ func TestApplyMovesBudget(t *testing.T) {
 	if got, _ := s.Extent(4); got.Start != 30 {
 		t.Fatalf("object 4 moved to %v despite exhausted budget", got)
 	}
-	// Refs are ranks in the index as it stands: resuming rebinds them.
-	if consumed, vol, err = s.ApplyMoves(ranked(s, 0, plan[3:]), 0, nil, 1, nil); err != nil || consumed != 1 || vol != 4 {
+	if consumed, vol, err = sess.Advance(1, nil); err != nil || consumed != 1 || vol != 4 {
 		t.Fatalf("resume: consumed %d vol %d err %v, want 1/4/nil", consumed, vol, err)
+	}
+	if !sess.Done() {
+		t.Fatal("session still active after its last entry")
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)

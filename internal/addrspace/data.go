@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the payload surface of the substrate: per-object byte
-// access over the arena backend the space was configured with. The
-// relocation executors (Move, ApplyMoves, session chunks) keep the
+// access over the arena backend the space was configured with. Both
+// relocation paths (per-move Move and move-session chunks) keep the
 // backend coherent with the index — whatever bytes an object holds, a
 // flush carries them to the object's new extent — so these accessors
 // always address the object's *current* placement.
@@ -23,13 +23,12 @@ func (s *Space) Data() arena.Backend { return s.data }
 // physically stores bytes, as opposed to the metered backend or none.
 func (s *Space) HasData() bool { return s.data != nil && s.data.Real() }
 
-// MoveNanos returns the cumulative wall-clock nanoseconds the batched
-// executors spent in their move loops on a real backend: one clock pair
-// per loop — an ApplyMoves batch, a session's bulk first chunk, or one
-// Advance chunk — covering the memmoves together with the per-move
-// bookkeeping and observer callbacks around them. No clock is read per
-// copy, per-move Move is not timed, and a space without real bytes
-// (metered or index-only) stays at 0.
+// MoveNanos returns the cumulative wall-clock nanoseconds move sessions
+// spent in their move loops on a real backend: one clock pair per Advance
+// chunk, whole-plan or partial, covering the memmoves together with the
+// per-move bookkeeping and observer callbacks around them. No clock is
+// read per copy, per-move Move is not timed, and a space without real
+// bytes (metered or index-only) stays at 0.
 func (s *Space) MoveNanos() int64 { return s.moveNanos }
 
 // moveClock starts timing one move loop: the current time on a real

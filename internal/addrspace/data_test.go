@@ -112,7 +112,7 @@ func TestMoveCarriesPayload(t *testing.T) {
 }
 
 // planRunner executes a whole plan, bound to the index suffix from
-// address from, through one of the batched executors.
+// address from, through one shape of move-session chunks.
 type planRunner struct {
 	name string
 	run  func(s *Space, plan []Relocation, from int64) error
@@ -133,17 +133,58 @@ func finalOrderOf(plan []Relocation) []int32 {
 	return refs
 }
 
-// planRunners covers ApplyMoves and the session's bulk, batched-chunk and
-// observed-chunk paths, with and without a supplied final order.
+// stayLastOrderOf is finalOrderOf with every object that ends where it
+// started listed last: BeginMoves accepts such an object anywhere in the
+// final order, since it keeps its index entry.
+func stayLastOrderOf(s *Space, plan []Relocation) []int32 {
+	final, id := map[int32]int64{}, map[int32]ID{}
+	for _, mv := range plan {
+		final[mv.Ref], id[mv.Ref] = mv.To, mv.ID
+	}
+	var stay, moved []int32
+	for _, ref := range finalOrderOf(plan) {
+		if ext, _ := s.Extent(id[ref]); final[ref] == ext.Start {
+			stay = append(stay, ref)
+		} else {
+			moved = append(moved, ref)
+		}
+	}
+	return append(moved, stay...)
+}
+
+// expectedEmits replays plan over s's current layout and returns the
+// relocations a session must report, in plan order: every entry that
+// changes its object's start.
+func expectedEmits(s *Space, plan []Relocation) []MoveResult {
+	cur := map[ID]Extent{}
+	var out []MoveResult
+	for _, mv := range plan {
+		ext, ok := cur[mv.ID]
+		if !ok {
+			ext, _ = s.Extent(mv.ID)
+		}
+		if mv.To != ext.Start {
+			out = append(out, MoveResult{ID: mv.ID, Size: ext.Size, From: ext.Start, To: mv.To})
+			ext.Start = mv.To
+		}
+		cur[mv.ID] = ext
+	}
+	return out
+}
+
+// planRunners covers a session's whole-plan chunk and its partial
+// chunks, each with and without an emitter. The applyMoves lanes apply
+// the whole plan in exactly one Advance whose quota is the plan's own
+// volume — the boundary of the whole-plan path — and fail if that call
+// leaves the session open; applyMovesOrdered also checks that the
+// emitter sees exactly the relocations the plan makes, in plan order.
+// sessionBulkOrdered hands BeginMoves a final order that lists the
+// objects ending where they started last, out of address order.
 func planRunners() []planRunner {
 	emit := func(MoveResult) {}
-	chunks := func(budget int64, emit func(MoveResult), ordered bool) func(s *Space, plan []Relocation, from int64) error {
+	chunks := func(budget int64, emit func(MoveResult)) func(s *Space, plan []Relocation, from int64) error {
 		return func(s *Space, plan []Relocation, from int64) error {
-			var order []int32
-			if ordered {
-				order = finalOrderOf(plan)
-			}
-			ms, err := s.BeginMoves(plan, from, order)
+			ms, err := begin(s, plan, from)
 			if err != nil {
 				return err
 			}
@@ -152,33 +193,60 @@ func planRunners() []planRunner {
 					return err
 				}
 			}
-			return ms.Commit()
+			return nil
+		}
+	}
+	oneCall := func(emit func(MoveResult)) func(s *Space, plan []Relocation, from int64) error {
+		return func(s *Space, plan []Relocation, from int64) error {
+			ms, err := begin(s, plan, from)
+			if err != nil {
+				return err
+			}
+			consumed, volume, err := ms.Advance(ms.total, emit)
+			switch {
+			case err != nil:
+				return err
+			case !ms.Done() || consumed != len(plan) || volume != ms.total:
+				return fmt.Errorf("one Advance of quota %d consumed %d of %d entries, moving %d",
+					ms.total, consumed, len(plan), volume)
+			}
+			return nil
 		}
 	}
 	return []planRunner{
-		{"applyMoves", func(s *Space, plan []Relocation, from int64) error {
-			_, _, err := s.ApplyMoves(plan, from, nil, 1<<40, nil)
-			return err
-		}},
-		{"applyMovesEmit", func(s *Space, plan []Relocation, from int64) error {
-			_, _, err := s.ApplyMoves(plan, from, nil, 1<<40, emit)
-			return err
-		}},
+		{"applyMoves", oneCall(nil)},
+		{"applyMovesEmit", oneCall(emit)},
 		{"applyMovesOrdered", func(s *Space, plan []Relocation, from int64) error {
-			_, _, err := s.ApplyMoves(plan, from, finalOrderOf(plan), 1<<40, emit)
+			want := expectedEmits(s, plan)
+			var got []MoveResult
+			if err := oneCall(func(m MoveResult) {
+				got = append(got, MoveResult{ID: m.ID, Size: m.Size, From: m.From, To: m.To})
+			})(s, plan, from); err != nil {
+				return err
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("emitted %v, want %v", got, want)
+			}
+			return nil
+		}},
+		{"sessionBulk", chunks(1<<40, nil)},
+		{"sessionBulkOrdered", func(s *Space, plan []Relocation, from int64) error {
+			ms, err := s.BeginMoves(plan, from, stayLastOrderOf(s, plan))
+			if err != nil {
+				return err
+			}
+			_, _, err = ms.Advance(1<<40, nil)
 			return err
 		}},
-		{"sessionBulk", chunks(1<<40, nil, false)},
-		{"sessionBulkOrdered", chunks(1<<40, nil, true)},
-		{"sessionChunks", chunks(3, nil, false)},
-		{"sessionChunksEmit", chunks(2, emit, false)},
+		{"sessionChunks", chunks(3, nil)},
+		{"sessionChunksEmit", chunks(2, emit)},
 	}
 }
 
 // TestBulkAndSessionCarryPayload drives the same randomized plan
-// through ApplyMoves, a single-chunk session, and a many-chunk session
-// (both with and without an emitter), checking payload integrity and
-// identical BytesMoved after each.
+// through a single-chunk and a many-chunk session (both with and without
+// an emitter), checking payload integrity and identical BytesMoved after
+// each.
 func TestBulkAndSessionCarryPayload(t *testing.T) {
 	for _, r := range planRunners() {
 		t.Run(r.name, func(t *testing.T) {
@@ -231,6 +299,74 @@ func TestBulkAndSessionCarryPayload(t *testing.T) {
 	}
 }
 
+// TestEmitBeforeCopy pins the emit-before-copy rule: a session reports
+// each move to its observer while the data layer still holds the pre-move
+// image, so a durability hook snapshotting on a blocking move's
+// checkpoint never captures that move's own write. Every object parks on
+// fresh, zeroed space: at each emit the target must still read zero, and
+// after the chunk the object must hold its payload there. The whole-plan
+// chunk and observed partial chunks both run.
+func TestEmitBeforeCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int64
+	}{{"wholePlan", 1 << 40}, {"chunks1", 1}, {"chunks7", 7}} {
+		budget := tc.budget
+		t.Run(tc.name, func(t *testing.T) {
+			s := newDataSpace(t, Durable(), arena.Heap)
+			live := map[ID]int64{}
+			next := int64(0)
+			for id := ID(1); id <= 10; id++ {
+				size := int64(id%4 + 2)
+				if err := s.Place(id, Extent{Start: next, Size: size}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.WriteData(id, pattern(id, size)); err != nil {
+					t.Fatal(err)
+				}
+				live[id] = size
+				next += size
+			}
+			var plan []Relocation
+			park := next + 8
+			for id := ID(1); id <= 10; id++ {
+				plan = append(plan, Relocation{ID: id, To: park})
+				park += live[id]
+			}
+			s.Data().Ensure(park) // the parking space exists, zeroed
+			sess, err := begin(s, ranked(s, 0, plan), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var emitted []ID
+			emit := func(m MoveResult) {
+				if b := s.Data().Bytes(m.To, m.Size); !bytes.Equal(b, make([]byte, m.Size)) {
+					t.Fatalf("object %d's target %d holds %v at its emit: copied before the observer saw it", m.ID, m.To, b)
+				}
+				emitted = append(emitted, m.ID)
+			}
+			chunks := 0
+			for !sess.Done() {
+				emitted = emitted[:0]
+				if _, _, err := sess.Advance(budget, emit); err != nil {
+					t.Fatal(err)
+				}
+				chunks++
+				for _, id := range emitted {
+					ext, _ := s.Extent(id)
+					if got, _ := s.DataBytes(id); ext.Start < next || !bytes.Equal(got, pattern(id, live[id])) {
+						t.Fatalf("object %d at %v holds %v after its chunk", id, ext, got)
+					}
+				}
+			}
+			if (budget == 1<<40) != (chunks == 1) {
+				t.Fatalf("budget %d ran %d chunks", budget, chunks)
+			}
+			checkPayloads(t, s, live)
+		})
+	}
+}
+
 // TestMeteredMatchesHeapCounters: the same op sequence produces the
 // same BytesMoved on a metered and a heap space.
 func TestMeteredMatchesHeapCounters(t *testing.T) {
@@ -266,10 +402,10 @@ func TestMeteredMatchesHeapCounters(t *testing.T) {
 	}
 }
 
-// TestMoveNanos: the batched executors time each move loop as one chunk
-// on a real backend — an ApplyMoves batch, and every chunk of a
-// multi-chunk session on both the observed and unobserved paths — while
-// per-move Move and spaces without real bytes never advance the counter.
+// TestMoveNanos: a session times each move loop as one chunk on a real
+// backend — a whole-plan chunk, and every chunk of a multi-chunk session
+// on both the observed and unobserved paths — while per-move Move and
+// spaces without real bytes never advance the counter.
 func TestMoveNanos(t *testing.T) {
 	const n, size = 8, 1 << 16 // large copies: every loop takes measurable time
 	// park builds a space over data (nil: index-only) holding n
@@ -296,10 +432,20 @@ func TestMoveNanos(t *testing.T) {
 		return b
 	}
 	emit := func(MoveResult) {}
+	// whole runs plan as one whole-plan chunk.
+	whole := func(t *testing.T, s *Space, plan []Relocation) {
+		ms, err := begin(s, plan, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ms.Advance(1<<40, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// chunked runs plan one move per Advance and reports whether every
 	// chunk advanced MoveNanos.
 	chunked := func(t *testing.T, s *Space, plan []Relocation, emit func(MoveResult)) (everyChunk bool) {
-		ms, err := s.BeginMoves(plan, 0, nil)
+		ms, err := begin(s, plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,19 +462,14 @@ func TestMoveNanos(t *testing.T) {
 		if chunks != len(plan) {
 			t.Fatalf("session ran %d chunks, want %d", chunks, len(plan))
 		}
-		if err := ms.Commit(); err != nil {
-			t.Fatal(err)
-		}
 		return everyChunk
 	}
 
-	t.Run("applyMoves", func(t *testing.T) {
+	t.Run("sessionBulk", func(t *testing.T) {
 		s, plan := park(t, backend(t, arena.Heap))
-		if _, _, err := s.ApplyMoves(plan, 0, nil, 1<<40, nil); err != nil {
-			t.Fatal(err)
-		}
+		whole(t, s, plan)
 		if s.MoveNanos() <= 0 {
-			t.Fatalf("heap ApplyMoves left MoveNanos at %d", s.MoveNanos())
+			t.Fatalf("a heap whole-plan chunk left MoveNanos at %d", s.MoveNanos())
 		}
 	})
 	for _, tc := range []struct {
@@ -344,9 +485,7 @@ func TestMoveNanos(t *testing.T) {
 	}
 	t.Run("moveUntimed", func(t *testing.T) {
 		s, plan := park(t, backend(t, arena.Heap))
-		if _, _, err := s.ApplyMoves(plan[:1], 0, nil, 1<<40, nil); err != nil {
-			t.Fatal(err)
-		}
+		whole(t, s, plan[:1])
 		before := s.MoveNanos()
 		for id := ID(2); id <= n; id++ {
 			if err := s.Move(id, int64(n+id)*size); err != nil {
@@ -366,9 +505,7 @@ func TestMoveNanos(t *testing.T) {
 	}{{"metered", backend(t, arena.Metered)}, {"indexOnly", nil}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, plan := park(t, tc.data)
-			if _, _, err := s.ApplyMoves(plan[:n/2], 0, nil, 1<<40, nil); err != nil {
-				t.Fatal(err)
-			}
+			whole(t, s, plan[:n/2])
 			chunked(t, s, ranked(s, 0, plan[n/2:]), nil)
 			if got := s.MoveNanos(); got != 0 {
 				t.Fatalf("MoveNanos = %d on a space without real bytes", got)

@@ -208,8 +208,8 @@ func (x *pindex) flattenFrom(p pos, dst []placement) []placement {
 }
 
 // replaceSuffix substitutes everything from p on with ents (sorted, same
-// address range), reusing retired blocks. The flush executor calls this
-// once per batch instead of mutating entry by entry.
+// address range), reusing retired blocks. A move session's whole-plan
+// chunk calls this once instead of mutating entry by entry.
 func (x *pindex) replaceSuffix(p pos, ents []placement) {
 	x.gen++
 	removed := 0

@@ -8,7 +8,7 @@ import (
 
 // buildChurnSpaces builds a pair of spaces sharing a randomized history
 // and returns a flush-shaped plan over the survivors (evacuate far right,
-// pack leftward), bound to the whole index, exactly like the ApplyMoves
+// pack leftward), bound to the whole index, exactly like the first-chunk
 // cross-check.
 func buildChurnSpaces(t *testing.T, opts Options, seed uint64) (s, mirror *Space, plan []Relocation) {
 	t.Helper()
@@ -62,7 +62,7 @@ func TestSessionMatchesSerialChunked(t *testing.T) {
 		for seed := uint64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0xc4a))
 			s, mirror, plan := buildChurnSpaces(t, opts, seed)
-			sess, err := s.BeginMoves(plan, 0, nil)
+			sess, err := begin(s, plan, 0)
 			if err != nil {
 				t.Fatalf("opts %+v seed %d: BeginMoves: %v", opts, seed, err)
 			}
@@ -97,9 +97,6 @@ func TestSessionMatchesSerialChunked(t *testing.T) {
 					t.Fatalf("opts %+v seed %d at %d: maxend %d vs %d", opts, seed, next, s.MaxEnd(), mirror.MaxEnd())
 				}
 			}
-			if err := sess.Commit(); err != nil {
-				t.Fatalf("opts %+v seed %d: commit: %v", opts, seed, err)
-			}
 			if s.Moves() != mirror.Moves() || s.Checkpoints() != mirror.Checkpoints() ||
 				s.BlockedWrites() != mirror.BlockedWrites() || s.FreedVolume() != mirror.FreedVolume() {
 				t.Fatalf("opts %+v seed %d: stats diverge: moves %d/%d ckpts %d/%d blocked %d/%d freed %d/%d",
@@ -125,7 +122,7 @@ func TestSessionBatchedChunksMatchSerial(t *testing.T) {
 		for seed := uint64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewPCG(seed, 0xba7c4ed))
 			s, mirror, plan := buildChurnSpaces(t, opts, seed+100)
-			sess, err := s.BeginMoves(plan, 0, nil)
+			sess, err := begin(s, plan, 0)
 			if err != nil {
 				t.Fatalf("opts %+v seed %d: BeginMoves: %v", opts, seed, err)
 			}
@@ -151,9 +148,6 @@ func TestSessionBatchedChunksMatchSerial(t *testing.T) {
 					t.Fatalf("opts %+v seed %d at %d: maxend %d vs %d", opts, seed, next, s.MaxEnd(), mirror.MaxEnd())
 				}
 			}
-			if err := sess.Commit(); err != nil {
-				t.Fatalf("opts %+v seed %d: commit: %v", opts, seed, err)
-			}
 			if s.Moves() != mirror.Moves() || s.Checkpoints() != mirror.Checkpoints() ||
 				s.BlockedWrites() != mirror.BlockedWrites() || s.FreedVolume() != mirror.FreedVolume() {
 				t.Fatalf("opts %+v seed %d: stats diverge: moves %d/%d ckpts %d/%d blocked %d/%d freed %d/%d",
@@ -170,12 +164,12 @@ func TestSessionBatchedChunksMatchSerial(t *testing.T) {
 }
 
 // TestSessionBulkFirstChunk: a first Advance whose budget covers the whole
-// plan must behave exactly like one-shot ApplyMoves (it takes the bulk
-// path) — results, layout, and stats.
+// plan takes the bulk path, consumes the plan in one chunk, ends the
+// session, and matches the per-move path — results, layout, and stats.
 func TestSessionBulkFirstChunk(t *testing.T) {
 	for _, opts := range []Options{RAM(), Durable()} {
 		s, mirror, plan := buildChurnSpaces(t, opts, 99)
-		sess, err := s.BeginMoves(plan, 0, nil)
+		sess, err := begin(s, plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,24 +181,26 @@ func TestSessionBulkFirstChunk(t *testing.T) {
 		if !sess.Done() || consumed != len(plan) {
 			t.Fatalf("bulk advance consumed %d of %d", consumed, len(plan))
 		}
-		if err := sess.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		var want applyRecorder
-		wantConsumed, wantVol, err := mirror.ApplyMoves(plan, 0, nil, 1<<40, want.add)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantConsumed, wantVol, want := applySerial(t, mirror, plan, 1<<40)
 		if consumed != wantConsumed || vol != wantVol || len(got) != len(want) {
-			t.Fatalf("bulk session diverges from ApplyMoves: %d/%d vs %d/%d", consumed, vol, wantConsumed, wantVol)
+			t.Fatalf("bulk session diverges from the per-move path: %d/%d vs %d/%d, %d vs %d results",
+				consumed, vol, wantConsumed, wantVol, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("result %d differs:\n session %+v\n apply   %+v", i, got[i], want[i])
+				t.Fatalf("result %d differs:\n session %+v\n serial  %+v", i, got[i], want[i])
 			}
 		}
 		if err := s.Verify(); err != nil {
 			t.Fatal(err)
+		}
+		if s.Moves() != mirror.Moves() || s.Checkpoints() != mirror.Checkpoints() ||
+			s.BlockedWrites() != mirror.BlockedWrites() || s.FreedVolume() != mirror.FreedVolume() ||
+			s.MaxEnd() != mirror.MaxEnd() {
+			t.Fatalf("stats diverge: moves %d/%d ckpts %d/%d blocked %d/%d freed %d/%d maxend %d/%d",
+				s.Moves(), mirror.Moves(), s.Checkpoints(), mirror.Checkpoints(),
+				s.BlockedWrites(), mirror.BlockedWrites(), s.FreedVolume(), mirror.FreedVolume(),
+				s.MaxEnd(), mirror.MaxEnd())
 		}
 		s.ForEach(func(id ID, ext Extent) {
 			if w, _ := mirror.Extent(id); w != ext {
@@ -240,7 +236,7 @@ func TestSessionMidPlacements(t *testing.T) {
 			plan = append(plan, Relocation{ID: ID(i + 1), To: pos})
 			pos += 4
 		}
-		sess, err := s.BeginMoves(ranked(s, 0, plan), 0, nil)
+		sess, err := begin(s, ranked(s, 0, plan), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,9 +289,6 @@ func TestSessionMidPlacements(t *testing.T) {
 		if !rebuilt {
 			t.Fatal("the session finished before an id table rebuild")
 		}
-		if err := sess.Commit(); err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < 6; i++ {
 			if ext, _ := s.Extent(ID(i + 1)); ext.Start != int64(i*4) {
 				t.Fatalf("object %d at %v, want start %d", i+1, ext, i*4)
@@ -320,7 +313,7 @@ func TestSessionIntermediateOverlap(t *testing.T) {
 		}
 		// A's final position (20) is disjoint, but its first hop (8)
 		// overlaps B at [10,15).
-		sess, err := s.BeginMoves(ranked(s, 0, []Relocation{{ID: 1, To: 8}, {ID: 1, To: 20}}), 0, nil)
+		sess, err := begin(s, ranked(s, 0, []Relocation{{ID: 1, To: 8}, {ID: 1, To: 20}}), 0)
 		if err != nil {
 			t.Fatalf("final layout is valid, BeginMoves rejected it: %v", err)
 		}
@@ -347,10 +340,10 @@ func TestSessionIntermediateOverlap(t *testing.T) {
 	}()
 }
 
-// TestSessionGuards pins the session discipline: empty plans and
-// overlapping sessions are rejected, premature and double commits fail,
-// ApplyMoves is locked out while a session is active, and whole-plan
-// validation rejects a plan whose tail is invalid up front.
+// TestSessionGuards pins the session discipline: empty plans, invalid
+// tails, and incomplete or unsorted final orders are rejected up front; a
+// second BeginMoves fails while a plan is active and succeeds once an
+// Advance has consumed the last entry; Advance past the end is a no-op.
 func TestSessionGuards(t *testing.T) {
 	s := New(RAM())
 	for i := 0; i < 3; i++ {
@@ -358,58 +351,63 @@ func TestSessionGuards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.BeginMoves(nil, 0, nil); err == nil {
+	if _, err := begin(s, nil, 0); err == nil {
 		t.Fatal("empty plan accepted")
 	}
 	// Whole-plan validation: the second entry collides with object 3.
 	bad := ranked(s, 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 22}})
-	if _, err := s.BeginMoves(bad, 0, nil); !errors.Is(err, ErrOverlap) {
+	if _, err := begin(s, bad, 0); !errors.Is(err, ErrOverlap) {
 		t.Fatalf("invalid tail: err %v, want ErrOverlap", err)
+	}
+	plan := ranked(s, 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 60}})
+	for name, order := range map[string][]int32{
+		"missing":    nil,
+		"incomplete": {0},
+		"unsorted":   {1, 0},
+		"repeated":   {0, 0, 1},
+	} {
+		if _, err := s.BeginMoves(plan, 0, order); err == nil {
+			t.Fatalf("%s final order %v accepted", name, order)
+		}
 	}
 	if s.Moves() != 0 {
 		t.Fatal("rejected plan mutated the space")
 	}
-	plan := ranked(s, 0, []Relocation{{ID: 1, To: 50}, {ID: 2, To: 60}})
-	sess, err := s.BeginMoves(plan, 0, nil)
+	sess, err := begin(s, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BeginMoves(plan, 0, nil); err == nil {
+	if _, _, err := sess.Advance(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Done() {
+		t.Fatal("budget 1 finished an 8-volume plan")
+	}
+	if _, err := begin(s, plan, 0); err == nil {
 		t.Fatal("second concurrent session accepted")
-	}
-	if _, _, err := s.ApplyMoves(plan, 0, nil, 1<<40, nil); err == nil {
-		t.Fatal("ApplyMoves accepted during an active session")
-	}
-	if err := sess.Commit(); err == nil {
-		t.Fatal("premature commit accepted")
 	}
 	if _, _, err := sess.Advance(1<<40, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Commit(); err != nil {
-		t.Fatal(err)
+	if !sess.Done() {
+		t.Fatal("session still active after its last entry")
 	}
-	if err := sess.Commit(); err == nil {
-		t.Fatal("double commit accepted")
+	moves := s.Moves()
+	if n, vol, err := sess.Advance(1<<40, nil); n != 0 || vol != 0 || err != nil || s.Moves() != moves {
+		t.Fatalf("Advance past the end: %d entries, %d volume, err %v, %d moves", n, vol, err, s.Moves()-moves)
 	}
 	// The space is free for the next plan, bound to the index as it now
 	// stands (object 3 ranks first).
 	back := ranked(s, 0, []Relocation{{ID: 1, To: 0}, {ID: 2, To: 10}})
-	sess2, err := s.BeginMoves(back, 0, nil)
+	sess, err = begin(s, back, 0)
 	if err != nil {
-		t.Fatalf("session after commit: %v", err)
+		t.Fatalf("session after the last entry: %v", err)
 	}
-	if _, _, err := sess2.Advance(1, nil); err != nil {
+	if _, _, err := sess.Advance(1<<40, nil); err != nil {
 		t.Fatal(err)
 	}
-	if sess2.Done() {
-		t.Fatal("budget 1 finished an 8-volume plan")
-	}
-	if _, _, err := sess2.Advance(1<<40, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess2.Commit(); err != nil {
-		t.Fatal(err)
+	if !sess.Done() {
+		t.Fatal("whole-plan Advance left the session active")
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)

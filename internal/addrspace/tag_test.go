@@ -65,10 +65,10 @@ func checkTags(t *testing.T, s *Space) {
 }
 
 // TestTagsSurviveMoves: every executor carries an entry's tag to the
-// object's new extent — Move, ApplyMoves with and without an emitter, and
-// the session's bulk, batched-chunk and observed-chunk paths — on plans
-// bound to a suffix that starts mid-index, leaving the same layout as the
-// per-move path.
+// object's new extent — Move, and a session's whole-plan, batched-chunk
+// and observed-chunk paths, the whole-plan one with and without an
+// emitter — on plans bound to a suffix that starts mid-index, leaving the
+// same layout as the per-move path.
 func TestTagsSurviveMoves(t *testing.T) {
 	s := tagSpace(t, RAM(), 1)
 	var even []ID

@@ -64,11 +64,6 @@ type Config struct {
 	// Paranoid re-validates every structural invariant after each request
 	// and makes violations return errors. Tests set it; benchmarks don't.
 	Paranoid bool
-	// SerialFlush executes flush move schedules through the per-move
-	// reference path instead of the batched executor. Both produce
-	// identical event streams, layouts, and stats (the differential tests
-	// assert it); this exists for cross-checking and debugging.
-	SerialFlush bool
 	// Telemetry, when non-nil, receives wall-clock timing: flush
 	// duration/stall/chunk/moved histograms and the checkpoint counter.
 	// Nil (the default) keeps every timing site a single branch — the
@@ -248,10 +243,14 @@ type Reallocator struct {
 	// copyMark is the substrate's cumulative move-loop time at the start
 	// of the flush in progress; the delta at flush end is that flush's
 	// FlushCopy observation. copyTimed says whether there is one: the
-	// backend holds real bytes and the flush runs through the batched
-	// executors, which time their move loops (per-move Move does not).
+	// backend holds real bytes, so the move sessions time their loops.
 	copyMark  int64
 	copyTimed bool
+	// serialFlush runs flush plans through applyPlanSerial, the per-move
+	// reference path, instead of a move session. Only the differential
+	// tests set it; both paths produce identical event streams, layouts,
+	// and stats.
+	serialFlush bool
 
 	// Deamortized state: the plan of an in-progress flush and the update
 	// log absorbing requests that arrive while it runs.
@@ -316,7 +315,7 @@ func New(cfg Config) (*Reallocator, error) {
 		nullRec: nullRec,
 		tel:     cfg.Telemetry,
 	}
-	r.copyTimed = r.tel != nil && r.space.HasData() && !cfg.SerialFlush
+	r.copyTimed = r.tel != nil && r.space.HasData()
 	if cfg.Variant == Deamortized {
 		r.tailBuf = &tail{}
 	}
@@ -475,19 +474,12 @@ func (r *Reallocator) emitPlanMove(m addrspace.MoveResult) {
 	r.emitAt(trace.KMove, m.ID, m.Size, m.From, m.To, m.Footprint)
 }
 
-// applyPlan executes up to budget volume of an atomic flush move plan,
-// bound to the index suffix from address from, in one batch and returns
-// the number of consumed plan entries and the volume they moved.
-// Config.SerialFlush forces the per-move reference path; both produce
-// identical event streams (the differential tests assert it).
-// Quota-bounded Section 3 plans do not come here — they execute through
-// the resumable session advanceQuota holds. Paranoid mode re-verifies the
-// substrate after every batch, cross-checking the merge rebuild.
-func (r *Reallocator) applyPlan(moves []addrspace.Relocation, from int64, finalOrder []int32, budget int64) (int, int64, error) {
-	if r.cfg.SerialFlush {
-		return r.applyPlanSerial(moves, budget)
-	}
-	n, vol, err := r.space.ApplyMoves(moves, from, finalOrder, budget, r.planEmitter())
+// advanceSession executes the next chunk, at most q volume (overshooting
+// by at most one move), of a flush plan's move session, relaying every
+// move to the recorder. Paranoid mode re-verifies the substrate after
+// every chunk, cross-checking the session's index rebuild.
+func (r *Reallocator) advanceSession(sess *addrspace.MoveSession, q int64) (int, int64, error) {
+	n, vol, err := sess.Advance(q, r.planEmitter())
 	if err == nil && r.cfg.Paranoid {
 		err = r.space.Verify()
 	}
@@ -504,9 +496,9 @@ func (r *Reallocator) planEmitter() func(addrspace.MoveResult) {
 	return r.emitPlanMove
 }
 
-// applyPlanSerial is applyPlan through per-move Move calls: one entry at a
-// time while the applied volume stays below budget, transparently blocking
-// on checkpoints.
+// applyPlanSerial is the per-move reference path for a flush plan: one
+// entry at a time through Move while the applied volume stays below
+// budget, transparently blocking on checkpoints.
 func (r *Reallocator) applyPlanSerial(moves []addrspace.Relocation, budget int64) (int, int64, error) {
 	var vol int64
 	for i, m := range moves {
@@ -581,8 +573,8 @@ func (r *Reallocator) syncCheckpoints() {
 // markCopy snapshots the substrate's cumulative move-loop time at flush
 // start; recordCopy turns the delta into the flush's FlushCopy
 // observation. Both are single branches when there is nothing to time
-// (telemetry off, no real bytes, or the per-move reference path), so a
-// metered run records no FlushCopy at all rather than a row of zeros.
+// (telemetry off or no real bytes), so a metered run records no FlushCopy
+// at all rather than a row of zeros.
 func (r *Reallocator) markCopy() {
 	if r.copyTimed {
 		r.copyMark = r.space.MoveNanos()

@@ -94,9 +94,10 @@ func payloadOf(id ID, n int64) []byte {
 }
 
 // driveDiff runs ops through a fresh reallocator built from cfg (Epsilon
-// 0.25 unless set) and returns it and its event log. On a real arena
-// every insert writes payloadOf(id).
-func driveDiff(t *testing.T, cfg Config, ops []diffOp) (*Reallocator, *trace.Log) {
+// 0.25 unless set), on the per-move reference flush path if serial, and
+// returns it and its event log. On a real arena every insert writes
+// payloadOf(id).
+func driveDiff(t *testing.T, cfg Config, serial bool, ops []diffOp) (*Reallocator, *trace.Log) {
 	t.Helper()
 	log := &trace.Log{}
 	if cfg.Epsilon == 0 {
@@ -104,6 +105,7 @@ func driveDiff(t *testing.T, cfg Config, ops []diffOp) (*Reallocator, *trace.Log
 	}
 	cfg.Recorder, cfg.TrackCells, cfg.Paranoid = log, true, true
 	r := MustNew(cfg)
+	r.serialFlush = serial
 	real := r.Data().Kind() != arena.Metered
 	for _, op := range ops {
 		var err error
@@ -116,7 +118,7 @@ func driveDiff(t *testing.T, cfg Config, ops []diffOp) (*Reallocator, *trace.Log
 			err = r.Delete(op.id)
 		}
 		if err != nil {
-			t.Fatalf("%s serial=%v: op %+v: %v", cfg.Variant, cfg.SerialFlush, op, err)
+			t.Fatalf("%s serial=%v: op %+v: %v", cfg.Variant, serial, op, err)
 		}
 	}
 	return r, log
@@ -149,8 +151,8 @@ func TestBatchedSerialEquivalence(t *testing.T) {
 	for _, variant := range []Variant{Amortized, Checkpointed, Deamortized} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			ops := diffWorkload(seed, 4000, 3000)
-			batched, blog := driveDiff(t, Config{Variant: variant}, ops)
-			serial, slog := driveDiff(t, Config{Variant: variant, SerialFlush: true}, ops)
+			batched, blog := driveDiff(t, Config{Variant: variant}, false, ops)
+			serial, slog := driveDiff(t, Config{Variant: variant}, true, ops)
 			compareEvents(t, fmt.Sprintf("%s seed %d", variant, seed), blog, slog)
 			compareDiffState(t, variant, seed, batched, serial)
 
@@ -174,14 +176,14 @@ func TestBatchedSerialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs[i], logs[i] = driveDiff(t, Config{Epsilon: 1, EpsPrime: 0.5, SerialFlush: serial, Arena: heap}, ops)
+		runs[i], logs[i] = driveDiff(t, Config{Epsilon: 1, EpsPrime: 0.5, Arena: heap}, serial, ops)
 	}
 	compareEvents(t, "sweep", logs[0], logs[1])
 	compareDiffState(t, Amortized, 0, runs[0], runs[1])
 	for _, r := range runs {
 		r.ForEach(func(id ID, ext addrspace.Extent) {
 			if got, _ := r.Bytes(id); !bytes.Equal(got, payloadOf(id, ext.Size)) {
-				t.Fatalf("sweep serial=%v: object %d at %v holds %v", r.cfg.SerialFlush, id, ext, got)
+				t.Fatalf("sweep serial=%v: object %d at %v holds %v", r.serialFlush, id, ext, got)
 			}
 		})
 	}

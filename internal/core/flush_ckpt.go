@@ -10,11 +10,10 @@ import (
 // atomic Checkpointed variant executes it in one request; the Deamortized
 // variant executes (4/ε')·w volume of it per subsequent request, each
 // request's share consumed as one volume-bounded chunk. The schedule is
-// handed to a resumable substrate session (addrspace.BeginMoves) that
-// validated it in full at startFlush and advances it chunk by chunk with
-// incremental index splices; sess is nil only under Config.SerialFlush,
-// which drives the per-move reference path instead, and for empty
-// schedules.
+// handed to a substrate move session (addrspace.BeginMoves) that
+// validated it in full at startFlush and advances it chunk by chunk; sess
+// is nil for empty schedules and on the per-move reference path the
+// differential tests select (serialFlush).
 type flushPlan struct {
 	moves       []addrspace.Relocation
 	sess        *addrspace.MoveSession
@@ -110,11 +109,10 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	r.planBuf = moves
 
 	// The whole schedule is validated against the pre-flush layout here;
-	// the session then advances it in quota-bounded chunks that splice the
-	// index incrementally, so no chunk pays a suffix rebuild. SerialFlush
-	// keeps the per-move reference path for cross-checking.
+	// the session then advances it in quota-bounded chunks that update the
+	// index incrementally, so no chunk pays a suffix rebuild.
 	var sess *addrspace.MoveSession
-	if !r.cfg.SerialFlush && len(moves) > 0 {
+	if !r.serialFlush && len(moves) > 0 {
 		var err error
 		sess, err = r.space.BeginMoves(moves, walkStart, order)
 		if err != nil {
@@ -179,13 +177,7 @@ func (r *Reallocator) advanceQuota(q int64) (int64, error) {
 				t0 = telemetry.Now()
 			}
 			if p.sess != nil {
-				n, vol, err = p.sess.Advance(q, r.planEmitter())
-				if err == nil && p.sess.Done() {
-					err = p.sess.Commit()
-				}
-				if err == nil && r.cfg.Paranoid {
-					err = r.space.Verify()
-				}
+				n, vol, err = r.advanceSession(p.sess, q)
 			} else {
 				n, vol, err = r.applyPlanSerial(p.moves[p.next:], q)
 			}

@@ -21,9 +21,9 @@ import (
 //  3. pull the buffered objects down into their payload tails.
 //
 // Every slot, and so the final layout, is the paper's. The whole schedule
-// is built as one move plan over the dense planning arrays and applied in
-// a single batch (see addrspace.ApplyMoves); the observable event stream
-// is identical to executing it move by move.
+// is built as one move plan over the dense planning arrays and applied as
+// one whole-plan chunk of a move session (see addrspace.BeginMoves); the
+// observable event stream is identical to executing it move by move.
 func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	var t0 int64
 	if r.tel != nil {
@@ -60,7 +60,17 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 	}
 	r.planBuf = plan
 
-	_, flushedVol, err := r.applyPlan(plan, lp.suffixStart, order, quotaAll)
+	var flushedVol int64
+	var err error
+	switch {
+	case r.serialFlush:
+		_, flushedVol, err = r.applyPlanSerial(plan, quotaAll)
+	case len(plan) > 0:
+		var sess *addrspace.MoveSession
+		if sess, err = r.space.BeginMoves(plan, lp.suffixStart, order); err == nil {
+			_, flushedVol, err = r.advanceSession(sess, quotaAll)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -102,9 +112,9 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 // right-movers in descending order once the run ends. Because slots keep
 // address order, no move lands on an object that has not moved yet (the
 // package documentation, under "Deviations from the paper", gives the
-// argument). ApplyMoves validates only the final layout, so a mis-ordered
-// plan would overwrite payload bytes: the sweep panics on a slot below
-// its predecessor's end, a bookkeeping desync.
+// argument). A move session validates only the final layout, so a
+// mis-ordered plan would overwrite payload bytes: the sweep panics on a
+// slot below its predecessor's end, a bookkeeping desync.
 func sweepPlan(plan []addrspace.Relocation, payload []flushObj) []addrspace.Relocation {
 	run := 0 // first object of the pending run of right-movers
 	prevEnd := int64(math.MinInt64)

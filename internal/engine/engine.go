@@ -184,9 +184,6 @@ type Config struct {
 	TrackCells bool
 	// Paranoid re-validates every structural invariant after each request.
 	Paranoid bool
-	// SerialFlush forces the PODS'14 per-move reference flush path; cores
-	// whose flushes are not batched ignore it.
-	SerialFlush bool
 	// Telemetry, when non-nil, receives the core's wall-clock flush
 	// timings (duration, stall, chunk, moved volume) and checkpoint
 	// counts; the facade layers its own op-latency recording on top.
@@ -272,15 +269,14 @@ func New(cfg Config) (Engine, error) {
 		return e, nil
 	}
 	e, err := core.New(core.Config{
-		Epsilon:     cfg.Epsilon,
-		EpsPrime:    cfg.EpsPrime,
-		Variant:     core.Variant(cfg.Variant),
-		Recorder:    cfg.Recorder,
-		TrackCells:  cfg.TrackCells,
-		Paranoid:    cfg.Paranoid,
-		SerialFlush: cfg.SerialFlush,
-		Telemetry:   cfg.Telemetry,
-		Arena:       cfg.Arena,
+		Epsilon:    cfg.Epsilon,
+		EpsPrime:   cfg.EpsPrime,
+		Variant:    core.Variant(cfg.Variant),
+		Recorder:   cfg.Recorder,
+		TrackCells: cfg.TrackCells,
+		Paranoid:   cfg.Paranoid,
+		Telemetry:  cfg.Telemetry,
+		Arena:      cfg.Arena,
 	})
 	if err != nil {
 		return nil, err

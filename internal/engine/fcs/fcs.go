@@ -101,16 +101,12 @@ type Reallocator struct {
 	delta    int64 // largest size seen (the paper's ∆)
 	rebuilds int64 // full repacks run (reported as Flushes)
 
-	// rebuild scratch, reused across rebuilds.
-	planBuf []planEntry
-}
-
-// planEntry is one object's rebuild assignment.
-type planEntry struct {
-	id     ID
-	size   int64
-	cur    int64 // current start
-	target int64 // packed start
+	// rebuild scratch, reused across rebuilds: the move plan, every
+	// object's rank in packed order (the plan's final order), and the
+	// per-class cursors that fill it.
+	planBuf  []addrspace.Relocation
+	orderBuf []int32
+	nextBuf  []int
 }
 
 // New creates a Reallocator.
@@ -344,90 +340,104 @@ func (r *Reallocator) maybeRebuild() error {
 // classes ascending. Every object is first parked in the staging area
 // past the old frontier, then moved to its packed slot, so no move ever
 // lands on a live extent; each object moves at most twice. Objects whose
-// slot does not change address stay put.
+// slot does not change address stay put. The schedule runs as one
+// whole-plan chunk of a move session, like a PODS'14 flush.
 func (r *Reallocator) rebuild() error {
+	// Rank every object in one index walk. An entry's tag is its class,
+	// and a class's slots ascend, so the class's j-th entry in address
+	// order occupies slot j; packed order is class-major, slot-minor, so
+	// order, filled by per-class cursors, lists the ranks by final
+	// position.
+	next := r.nextBuf[:0]
+	n := 0
+	for c := range r.classes {
+		next = append(next, n)
+		n += r.classes[c].occ
+	}
+	order := slices.Grow(r.orderBuf[:0], n)[:n]
+	rank := int32(0)
+	r.space.SuffixTags(0, func(tag int32, _ int64) {
+		order[next[tag]] = rank
+		next[tag]++
+		rank++
+	})
+	r.nextBuf, r.orderBuf = next, order
+
+	// Park every object whose slot moves, in packed order, then pack
+	// them in the same order.
 	plan := r.planBuf[:0]
+	staging := r.allocEnd
 	var cursor int64
+	k := 0
 	for c := range r.classes {
 		cl := &r.classes[c]
 		for j := 0; j < cl.occ; j++ {
-			id := cl.ids[j]
-			ext, _ := r.space.Extent(id)
-			plan = append(plan, planEntry{
-				id:     id,
-				size:   ext.Size,
-				cur:    cl.starts[j],
-				target: cursor,
-			})
-			cl.starts[j] = cursor
+			if cl.starts[j] != cursor {
+				ext, _ := r.space.Extent(cl.ids[j])
+				plan = append(plan, addrspace.Relocation{ID: cl.ids[j], To: staging, Ref: order[k]})
+				staging += ext.Size
+			}
 			cursor += r.caps[c]
+			k++
+		}
+	}
+	cursor, k = 0, 0
+	for c := range r.classes {
+		cl := &r.classes[c]
+		for j := 0; j < cl.occ; j++ {
+			if cl.starts[j] != cursor {
+				plan = append(plan, addrspace.Relocation{ID: cl.ids[j], To: cursor, Ref: order[k]})
+				cl.starts[j] = cursor
+			}
+			cursor += r.caps[c]
+			k++
 		}
 		// Free slots are forgotten; their space is reclaimed wholesale.
 		cl.starts = cl.starts[:cl.occ]
 		cl.ids = cl.ids[:cl.occ]
 	}
-	r.planBuf = plan[:0]
+	r.planBuf = plan
 
 	r.rebuilds++
 	tel := r.cfg.Telemetry
-	var moved, t0 int64
+	var t0, copyMark int64
 	if tel != nil {
 		t0 = telemetry.Now()
+		copyMark = r.space.MoveNanos()
 	}
 	if !r.nullRec {
 		r.rec.Record(trace.Event{
 			Kind: trace.KFlushStart, From: int64(len(r.classes)), Volume: r.vol,
 		})
 	}
-	// One clock pair around both move loops is the rebuild's FlushCopy
-	// observation, taken only when there are real bytes to copy: Move
-	// itself reads no clock.
-	timeCopies := tel != nil && r.space.HasData()
-	var c0 int64
-	if timeCopies {
-		c0 = telemetry.Now()
-	}
-	staging := r.allocEnd
-	for i := range plan {
-		e := &plan[i]
-		if e.cur == e.target {
-			continue
+	var moved int64
+	if len(plan) > 0 {
+		var emit func(addrspace.MoveResult)
+		if !r.nullRec {
+			emit = r.emitMove
 		}
-		if err := r.space.Move(e.id, staging); err != nil {
-			return fmt.Errorf("fcs: rebuild staging move of %d: %w", e.id, err)
+		sess, err := r.space.BeginMoves(plan, 0, order)
+		if err == nil {
+			_, moved, err = sess.Advance(math.MaxInt64, emit)
 		}
-		r.emit(trace.KMove, e.id, e.size, e.cur, staging)
-		e.cur = staging
-		staging += e.size
-		moved += e.size
-	}
-	for i := range plan {
-		e := &plan[i]
-		if e.cur == e.target {
-			continue
+		if err != nil {
+			return fmt.Errorf("fcs: rebuild: %w", err)
 		}
-		if err := r.space.Move(e.id, e.target); err != nil {
-			return fmt.Errorf("fcs: rebuild packing move of %d: %w", e.id, err)
-		}
-		r.emit(trace.KMove, e.id, e.size, e.cur, e.target)
-		moved += e.size
-	}
-	var copyNanos int64
-	if timeCopies {
-		copyNanos = telemetry.Now() - c0
 	}
 	r.allocEnd = cursor
 	if !r.nullRec {
 		r.rec.Record(trace.Event{Kind: trace.KFlushEnd, Size: moved})
 	}
 	if tel != nil {
-		// A rebuild is an atomic flush: one chunk, no stall.
+		// A rebuild is an atomic flush: one chunk, no stall. Its FlushCopy
+		// is the session's timed move loop, present only when there are
+		// real bytes to copy.
 		el := telemetry.Now() - t0
 		tel.FlushDuration.Record(el)
 		tel.FlushMoved.Record(moved)
 		tel.FlushChunk.Record(moved)
-		if timeCopies {
-			tel.FlushCopy.Record(copyNanos)
+		if r.space.HasData() {
+			tel.FlushCopy.Record(r.space.MoveNanos() - copyMark)
 		}
 		tel.BytesMoved.Store(r.space.Data().Counters().BytesMoved)
 		if !r.nullRec {
@@ -438,6 +448,15 @@ func (r *Reallocator) rebuild() error {
 		}
 	}
 	return nil
+}
+
+// emitMove records one rebuild move with the footprint the session
+// observed right after it (MaxEnd is off limits inside the callback).
+func (r *Reallocator) emitMove(m addrspace.MoveResult) {
+	r.rec.Record(trace.Event{
+		Kind: trace.KMove, ID: int64(m.ID), Size: m.Size, From: m.From, To: m.To,
+		Footprint: m.Footprint, Volume: r.vol,
+	})
 }
 
 // maybeCheck runs CheckInvariants when Paranoid is set.

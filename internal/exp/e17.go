@@ -21,7 +21,7 @@ import (
 // abstract "moved volume" unit costs on this machine. The throughput is
 // the flushes' moved volume over their FlushCopy time on a second,
 // untraced replay; the substrate takes FlushCopy as one clock pair per
-// chunk of moves (per rebuild for fcs), so numerator and denominator
+// move-session chunk (one per fcs rebuild), so numerator and denominator
 // cover the same flush moves and no clock is read per copy.
 func E17(cfg Config) (*Result, error) {
 	res := &Result{ID: "E17", Title: "Metered cost model vs real memmove backends", Findings: map[string]float64{}}

@@ -84,22 +84,21 @@ func (e Extent) End() int64 { return e.Start + e.Size }
 type Option func(*config)
 
 type config struct {
-	epsilon     float64
-	epsPrime    float64
-	variant     Variant
-	core        Core
-	coreSet     bool
-	observer    func(Event)
-	metrics     bool
-	paranoid    bool
-	serialFlush bool
-	locking     bool
-	shards      int
-	shardsSet   bool
-	rebalance   *RebalancePolicy
-	tel         *telemetry.Registry
-	async       int
-	backend     Backend
+	epsilon   float64
+	epsPrime  float64
+	variant   Variant
+	core      Core
+	coreSet   bool
+	observer  func(Event)
+	metrics   bool
+	paranoid  bool
+	locking   bool
+	shards    int
+	shardsSet bool
+	rebalance *RebalancePolicy
+	tel       *telemetry.Registry
+	async     int
+	backend   Backend
 }
 
 // validateEpsilon enforces the public contract at the constructor
@@ -151,15 +150,14 @@ func (c *config) buildEngine(ec engine.Core, rec trace.Recorder, tel *telemetry.
 		return nil, fmt.Errorf("realloc: %w", err)
 	}
 	e, err := engine.New(engine.Config{
-		Core:        ec,
-		Variant:     engine.Variant(c.variant),
-		Epsilon:     c.epsilon,
-		EpsPrime:    c.epsPrime,
-		Recorder:    rec,
-		Paranoid:    c.paranoid,
-		SerialFlush: c.serialFlush,
-		Telemetry:   tel,
-		Arena:       data,
+		Core:      ec,
+		Variant:   engine.Variant(c.variant),
+		Epsilon:   c.epsilon,
+		EpsPrime:  c.epsPrime,
+		Recorder:  rec,
+		Paranoid:  c.paranoid,
+		Telemetry: tel,
+		Arena:     data,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("realloc: %w", err)
@@ -208,13 +206,6 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 // flush application against a full substrate verification. Intended for
 // tests; it is O(n) per request.
 func WithInvariantChecks() Option { return func(c *config) { c.paranoid = true } }
-
-// WithSerialFlush executes flush move schedules through the per-move
-// reference path instead of the batched executor. Both paths produce
-// identical event streams, layouts, and stats — the differential tests
-// assert it — so this option exists only for cross-validation and
-// debugging; the batched executor is strictly faster.
-func WithSerialFlush() Option { return func(c *config) { c.serialFlush = true } }
 
 // WithLocking serializes all methods with a mutex, making the Reallocator
 // safe for concurrent use. (The algorithm itself is inherently sequential

@@ -148,8 +148,7 @@ func TestTelemetryOffStatsNilSafe(t *testing.T) {
 
 // TestFlushCopyRealBackendsOnly: FlushCopy times flush move loops, so it
 // holds one observation per completed flush, with time in it, on a real
-// backend, and none at all on the metered backend (no row of zeros). The
-// per-move serial reference path is not timed and records none either.
+// backend, and none at all on the metered backend (no row of zeros).
 func TestFlushCopyRealBackendsOnly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -159,7 +158,6 @@ func TestFlushCopyRealBackendsOnly(t *testing.T) {
 		{"checkpointed", []Option{WithCore(CorePODS14), WithVariant(Checkpointed)}},
 		{"deamortized", []Option{WithCore(CorePODS14), WithVariant(Deamortized)}},
 		{"fcs", []Option{WithCore(CoreFCS)}},
-		{"amortizedSerial", []Option{WithCore(CorePODS14), WithVariant(Amortized), WithSerialFlush()}},
 	} {
 		for _, bk := range []Backend{Metered, HeapArena} {
 			t.Run(tc.name+"/"+bk.String(), func(t *testing.T) {
@@ -182,7 +180,7 @@ func TestFlushCopyRealBackendsOnly(t *testing.T) {
 					t.Fatalf("FlushMoved count = %d, want one per flush (%d)", got, flushes)
 				}
 				want := flushes
-				if bk == Metered || tc.name == "amortizedSerial" {
+				if bk == Metered {
 					want = 0
 				}
 				if got := snap.FlushCopy.Count; got != want {
