@@ -316,7 +316,7 @@ func (s *ShardedReallocator) applyBatch(batch Batch, sc *shardedApplyScratch, st
 	// acquire path; migrations are rare and bounded, so this never
 	// carries more than a handful of ops.
 	for _, i := range retry {
-		if err := s.applyOne(batch[i], start, false); err != nil {
+		if err := s.applyOne(batch[i], start); err != nil {
 			result = setBatchErr(result, len(batch), int(i), err)
 		}
 	}
@@ -401,12 +401,10 @@ func (s *ShardedReallocator) applyShardGroup(batch Batch, group []int32, si int,
 	return result
 }
 
-// applyOne is the batch path's per-op fallback (reroute races, async
-// stragglers): the body of Insert/Delete with the latency stamped from
-// the batch's submit time. asyncLat selects the submit-to-complete
-// histogram the async pipeline reports instead of the sync op-latency
-// ones.
-func (s *ShardedReallocator) applyOne(op Op, start int64, asyncLat bool) error {
+// applyOne is the batch path's per-op fallback for ops a concurrent
+// migration rerouted after the batch's route snapshot: the body of
+// Insert/Delete with the latency stamped from the batch's submit time.
+func (s *ShardedReallocator) applyOne(op Op, start int64) error {
 	sh, _ := s.acquire(op.ID)
 	var err error
 	if op.Kind == OpDelete {
@@ -423,12 +421,9 @@ func (s *ShardedReallocator) applyOne(op Op, start int64, asyncLat bool) error {
 	if sh.tel != nil {
 		end := telemetry.Now()
 		sh.tel.BatchSize.Record(1)
-		switch {
-		case asyncLat:
-			sh.tel.SubmitLatency.Record(end - start)
-		case op.Kind == OpDelete:
+		if op.Kind == OpDelete {
 			sh.tel.DeleteLatency.Record(end - start)
-		default:
+		} else {
 			sh.tel.InsertLatency.Record(end - start)
 		}
 	}

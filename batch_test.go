@@ -1,7 +1,6 @@
 package realloc
 
 import (
-	"errors"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"realloc/internal/addrspace"
 	"realloc/internal/telemetry"
 )
 
@@ -230,71 +230,6 @@ func TestBatchApplyEquivalenceSharded(t *testing.T) {
 	}
 }
 
-// runSubmit pipelines the script through the async rings without
-// waiting between batches — per-shard FIFO keeps every shard's
-// subsequence in submission order regardless — then waits all tickets
-// and spreads errors back to script positions.
-func runSubmit(s *ShardedReallocator, script Batch, chunk int) []error {
-	errs := make([]error, len(script))
-	type pending struct {
-		lo int
-		tk *Ticket
-	}
-	var tks []pending
-	for lo := 0; lo < len(script); lo += chunk {
-		hi := lo + chunk
-		if hi > len(script) {
-			hi = len(script)
-		}
-		tks = append(tks, pending{lo, s.Submit(script[lo:hi])})
-	}
-	for _, p := range tks {
-		if res := p.tk.Wait(); res != nil {
-			copy(errs[p.lo:], res)
-		}
-	}
-	return errs
-}
-
-// TestBatchApplyEquivalenceAsync pins the contract on the async
-// pipeline: submitted batches complete with the sequential loop's
-// errors, per-shard event order, and final state.
-func TestBatchApplyEquivalenceAsync(t *testing.T) {
-	const shards = 4
-	script := batchScript(600)
-	for _, c := range batchCases {
-		t.Run(c.name, func(t *testing.T) {
-			var refLog, asyncLog eventLog
-			ref, err := NewSharded(WithShards(shards), WithVariant(c.variant), WithCore(c.core), WithObserver(refLog.add))
-			if err != nil {
-				t.Fatal(err)
-			}
-			as, err := NewSharded(WithShards(shards), WithVariant(c.variant), WithCore(c.core),
-				WithObserver(asyncLog.add), WithAsync(32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			refErrs := runPerOp(ref, script)
-			asyncErrs := runSubmit(as, script, 17)
-			if err := as.Close(); err != nil {
-				t.Fatal(err)
-			}
-			sameErrs(t, "async", asyncErrs, refErrs)
-			sameState(t, "async", as, ref)
-			refShards, asShards := refLog.perShard(shards), asyncLog.perShard(shards)
-			for i := range refShards {
-				if !slices.Equal(asShards[i], refShards[i]) {
-					t.Fatalf("shard %d event streams differ: %d vs %d events",
-						i, len(asShards[i]), len(refShards[i]))
-				}
-			}
-			if err := as.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestBatchErrorSemantics pins the shape contract of the batched
 // surface: nil on full success, positional errors otherwise, and the
 // wrapper forms' edge cases.
@@ -424,41 +359,139 @@ func TestBatchedDeleteOneRepublish(t *testing.T) {
 	}
 }
 
-// TestSubmitEdgeCases pins the async surface's boundary behavior:
-// Submit without WithAsync, the empty batch, and Submit after Close.
-func TestSubmitEdgeCases(t *testing.T) {
-	plainSharded, err := NewSharded(WithShards(2))
+// TestBatchRerouteFallback drives the batch path's reroute fallback
+// deterministically. A shard group run against a route table taken
+// before a migration must re-validate ownership under the shard lock:
+// the migrated ids go to retry and never run on their old shard, and
+// applyOne then runs them on their new owner, with each error at its
+// submission index and each latency in the owner's histograms.
+func TestBatchRerouteFallback(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := NewSharded(WithShards(4), WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := plainSharded.Submit(Batch{InsertOp(1, 4)}).Wait()
-	if res == nil || !errors.Is(res[0], ErrAsyncDisabled) {
-		t.Fatalf("Submit without WithAsync returned %v, want ErrAsyncDisabled", res)
+	var onZero []int64
+	for id := int64(1); len(onZero) < 24; id++ {
+		if err := s.Insert(id, 2); err != nil {
+			t.Fatal(err)
+		}
+		if s.ShardOf(id) == 0 {
+			onZero = append(onZero, id)
+		}
+	}
+	stale := s.router.table.Load()
+	if _, err := s.MigrateShard(0, 1, 1<<30, 8); err != nil {
+		t.Fatal(err)
+	}
+	var migrated, stayed []int64
+	for _, id := range onZero {
+		switch s.ShardOf(id) {
+		case 0:
+			stayed = append(stayed, id)
+		case 1:
+			migrated = append(migrated, id)
+		default:
+			t.Fatalf("id %d migrated to shard %d, want 1", id, s.ShardOf(id))
+		}
+	}
+	if len(migrated) < 3 || len(stayed) == 0 {
+		t.Fatalf("migration left %d ids moved and %d in place, want >= 3 and >= 1", len(migrated), len(stayed))
+	}
+	batch := Batch{
+		DeleteOp(migrated[0]),
+		InsertOp(migrated[1], 5), // duplicate: the id is live on shard 1
+		DeleteOp(stayed[0]),
+		DeleteOp(migrated[2]),
+	}
+	group := []int32{0, 1, 2, 3}
+	for _, i := range group {
+		if h := s.router.routeIn(stale, batch[i].ID); h != 0 {
+			t.Fatalf("op %d routes to shard %d under the stale table, want 0", i, h)
+		}
+	}
+	var before0, before1, after0, after1 telemetry.Snapshot
+	reg.ReadShardSnapshot(0, &before0)
+	reg.ReadShardSnapshot(1, &before1)
+	len0, len1 := s.shards[0].inner.Len(), s.shards[1].inner.Len()
+	overrides := s.RouteOverrides()
+
+	var retry []int32
+	start := telemetry.Now()
+	result := s.applyShardGroup(batch, group, 0, stale, new(shardedApplyScratch), start, nil, &retry)
+	if result != nil {
+		t.Fatalf("shard group returned %v, want no errors", result)
+	}
+	if !slices.Equal(retry, []int32{0, 1, 3}) {
+		t.Fatalf("retry = %v, want the migrated ops [0 1 3]", retry)
+	}
+	for _, id := range migrated[:3] {
+		if s.shards[0].inner.Has(addrspace.ID(id)) {
+			t.Fatalf("migrated id %d ran on its old shard", id)
+		}
+	}
+	if got := s.shards[0].inner.Len(); got != len0-1 {
+		t.Fatalf("shard 0 holds %d objects after its group, want %d", got, len0-1)
+	}
+	if got := s.shards[1].inner.Len(); got != len1 {
+		t.Fatalf("shard 1 holds %d objects after shard 0's group, want %d", got, len1)
 	}
 
-	s, err := NewSharded(WithShards(2), WithAsync(4))
-	if err != nil {
+	for _, i := range retry {
+		if err := s.applyOne(batch[i], start); err != nil {
+			result = setBatchErr(result, len(batch), int(i), err)
+		}
+	}
+	if len(result) != len(batch) {
+		t.Fatalf("result = %v, want %d slots", result, len(batch))
+	}
+	for i, e := range result {
+		if (e != nil) != (i == 1) {
+			t.Fatalf("op %d error = %v, want an error only at the duplicate insert (op 1)", i, e)
+		}
+	}
+	for _, id := range []int64{migrated[0], migrated[2]} {
+		if s.Has(id) {
+			t.Fatalf("rerouted delete of %d did not run", id)
+		}
+	}
+	if got := s.shards[1].inner.Len(); got != len1-2 {
+		t.Fatalf("shard 1 holds %d objects, want %d: the rerouted deletes run on ShardOf(id)", got, len1-2)
+	}
+	if got := s.shards[0].inner.Len(); got != len0-1 {
+		t.Fatalf("shard 0 holds %d objects, want %d", got, len0-1)
+	}
+	if size, ok := s.shards[1].inner.SizeOf(addrspace.ID(migrated[1])); !ok || size != 2 {
+		t.Fatalf("duplicate insert changed %d on shard 1: size %d, live %v", migrated[1], size, ok)
+	}
+	if got := s.RouteOverrides(); got != overrides-2 {
+		t.Fatalf("%d route overrides, want %d: the rerouted deletes clear theirs", got, overrides-2)
+	}
+
+	reg.ReadShardSnapshot(0, &after0)
+	reg.ReadShardSnapshot(1, &after1)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"shard 0 deletes", after0.DeleteLatency.Count - before0.DeleteLatency.Count, 1},
+		{"shard 0 inserts", after0.InsertLatency.Count - before0.InsertLatency.Count, 0},
+		{"shard 0 batch groups", after0.BatchSize.Count - before0.BatchSize.Count, 1},
+		{"shard 1 deletes", after1.DeleteLatency.Count - before1.DeleteLatency.Count, 2},
+		{"shard 1 inserts", after1.InsertLatency.Count - before1.InsertLatency.Count, 1},
+		{"shard 1 batch groups", after1.BatchSize.Count - before1.BatchSize.Count, 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d records, want %d", c.name, c.got, c.want)
+		}
+	}
+
+	// The fallback reports exactly what the per-op call reports.
+	if want := s.Insert(migrated[1], 5); want == nil || result[1].Error() != want.Error() {
+		t.Fatalf("duplicate insert error = %v, want the per-op error %v", result[1], want)
+	}
+	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	if res := s.Submit(nil).Wait(); res != nil {
-		t.Fatalf("empty Submit returned %v, want nil", res)
-	}
-	if res := s.Submit(Batch{InsertOp(1, 4), InsertOp(2, 8)}).Wait(); res != nil {
-		t.Fatalf("Submit returned %v, want nil", res)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has(1) || !s.Has(2) {
-		t.Fatal("Close dropped accepted async work")
-	}
-	res = s.Submit(Batch{InsertOp(3, 4)}).Wait()
-	if res == nil || !errors.Is(res[0], ErrClosed) {
-		t.Fatalf("Submit after Close returned %v, want ErrClosed", res)
-	}
-	// The synchronous surface stays usable after Close.
-	if r2 := s.Apply(Batch{InsertOp(3, 4)}); r2 != nil {
-		t.Fatalf("Apply after Close returned %v", r2)
 	}
 }
 
@@ -498,23 +531,20 @@ func TestBatchApplyAllocationFree(t *testing.T) {
 	}
 }
 
-// TestBatchStressConcurrent is the -race stress of the satellite
-// contract: concurrent batch submitters (sync and async) against
-// inline rebalancing, manual migrations, and a mid-flight Close.
+// TestBatchStressConcurrent is the -race stress of the batch contract:
+// concurrent batch submitters against inline rebalancing, manual
+// migrations, and a mid-flight Close.
 func TestBatchStressConcurrent(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, err := NewSharded(WithShards(4), WithAsync(8), WithTelemetry(reg),
+	s, err := NewSharded(WithShards(4), WithTelemetry(reg),
 		WithRebalance(RebalancePolicy{Mode: RebalanceInline, CheckEvery: 32, Threshold: 1.2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One guaranteed round-trip before the race starts: the telemetry
-	// assertions below must not depend on scheduler luck deciding whether
-	// any worker's Submit beats the mid-flight Close (on a single-CPU
-	// box the migrator loop can starve the workers long enough that none
-	// does).
-	if res := s.Submit(Batch{InsertOp(1, 2), DeleteOp(1)}).Wait(); res != nil {
-		t.Fatalf("seed submit: %v", res)
+	// One guaranteed batch before the race starts, so the telemetry
+	// assertion below holds however the workers are scheduled.
+	if res := s.Apply(Batch{InsertOp(1, 2), DeleteOp(1)}); res != nil {
+		t.Fatalf("seed batch: %v", res)
 	}
 	const workers = 4
 	var wg sync.WaitGroup
@@ -543,21 +573,11 @@ func TestBatchStressConcurrent(t *testing.T) {
 						live = append(live, id)
 					}
 				}
-				var res []error
-				if iter%2 == 0 {
-					res = s.Apply(b)
-				} else {
-					res = s.Submit(b).Wait()
-				}
-				for _, e := range res {
-					if e == nil {
-						continue
+				for _, e := range s.Apply(b) {
+					if e != nil {
+						t.Errorf("worker %d: %v", w, e)
+						return
 					}
-					if errors.Is(e, ErrClosed) {
-						return // Close won the race; done submitting
-					}
-					t.Errorf("worker %d: %v", w, e)
-					return
 				}
 			}
 		}(w)
@@ -592,13 +612,9 @@ func TestBatchStressConcurrent(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The pipeline recorded into the new series.
 	var snap telemetry.Snapshot
 	reg.ReadSnapshot(&snap)
 	if snap.BatchSize.Count == 0 {
 		t.Error("no batch groups recorded")
-	}
-	if snap.SubmitLatency.Count == 0 {
-		t.Error("no async submit latencies recorded")
 	}
 }

@@ -1,9 +1,10 @@
 package realloc_test
 
-// The benchmark suite regenerates every experiment of EXPERIMENTS.md
-// (BenchmarkE1..BenchmarkE10 — one per table/figure reproduced from the
-// paper) and measures raw request throughput for the three reallocator
-// variants and every baseline allocator.
+// The benchmark suite regenerates the experiments listed by
+// `reallocbench -list` (BenchmarkE1..BenchmarkE10 — one per table/figure
+// reproduced from the paper; see README's "Experiment harness") and
+// measures raw request throughput for the three reallocator variants and
+// every baseline allocator.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -663,7 +664,7 @@ func BenchmarkBatchChurn(b *testing.B) {
 
 // BenchmarkBatchSize sweeps the batch width over the same churn
 // workload, mapping the amortization curve from the degenerate
-// single-op batch to well past the async ring depth.
+// single-op batch to 512-op groups.
 func BenchmarkBatchSize(b *testing.B) {
 	for _, size := range []int{1, 8, 64, 512} {
 		b.Run(fmt.Sprintf("ops=%d", size), func(b *testing.B) {

@@ -1,5 +1,6 @@
-// Command reallocbench regenerates the experiment suite of EXPERIMENTS.md:
-// every table and figure validating the paper's claims.
+// Command reallocbench regenerates the experiment suite (README's
+// "Experiment harness"; -list prints each experiment's claim): every
+// table and figure validating the paper's claims.
 //
 // Usage:
 //

@@ -45,16 +45,17 @@
 //     above: every variant, footprint ≤ (1+ε)·V after every request,
 //     and reallocation cost O((1/ε)·log(1/ε))-competitive for every
 //     subadditive cost function.
-//   - CoreFCS is a successor algorithm in the style of Farach-Colton
-//     and Sheffield: objects are rounded up into geometric slot classes
-//     (factor g = 1+ε/4), each class's occupied slots form a packed
-//     prefix, a delete backfills its hole by swapping in the class's
-//     last occupant (one move of ≤ g·w volume), and a full repack runs
-//     only when the allocation frontier exceeds (1+ε)·V. The amortized
-//     moved volume is O(w/ε) per request — no log(1/ε) factor — but
-//     the bound is per-volume rather than cost-oblivious, and the core
-//     runs Amortized only: selecting Checkpointed or Deamortized with
-//     it fails construction.
+//   - CoreFCS is a slot-class core with the folklore bound, motivated
+//     by Farach-Colton and Sheffield (arXiv 2405.12152) but not their
+//     Õ(ε^{-1/2}) algorithm: objects are rounded up into geometric slot
+//     classes (factor g = 1+ε/4), each class's occupied slots form a
+//     packed prefix, a delete backfills its hole by swapping in the
+//     class's last occupant (one move of ≤ g·w volume), and a full
+//     repack runs only when the allocation frontier exceeds (1+ε)·V.
+//     The amortized moved volume is the folklore O(w/ε) per request —
+//     no log(1/ε) factor — but the bound is per-volume rather than
+//     cost-oblivious, and the core runs Amortized only: selecting
+//     Checkpointed or Deamortized with it fails construction.
 //
 // Whatever the core, the externally observable allocation semantics are
 // identical — the live id set, sizes, extents, and aggregate state; an
@@ -205,7 +206,7 @@
 // take no locks and are safe to call from the callback; they observe
 // the state as of the last completed operation.
 //
-// # Batching and async submission
+// # Batching
 //
 // Every per-op call repeats the same front-end work: route the id,
 // take the shard lock, republish the read mirrors, stamp telemetry.
@@ -233,25 +234,9 @@
 // copy-on-write republish per shard group. The amortization is priced
 // by BenchmarkBatchChurn and gated in CI (cmd/benchgate -batch,
 // BENCH_ci_batch.json): 64-op batches must run front-end-bound churn
-// at ≥2x the per-op lane's throughput.
-//
-// WithAsync(depth) arms a submission pipeline on the sharded facade.
-// Submit(batch) validates and routes each op, pushes it into the
-// owning shard's bounded ring (one consumer goroutine per shard drains
-// rings into the batched path), and returns a Ticket immediately —
-// producers never block on flush execution. A full ring blocks Submit
-// until the consumer catches up: backpressure, not load shedding.
-// Ticket.Wait returns the batch's per-op errors with Apply's
-// semantics; Ticket.Done exposes a channel for select-based waiters.
-// Ops submitted by one goroutine execute on each shard in submission
-// order; ordering across goroutines is whatever the ring interleaving
-// makes it, like any concurrent per-op callers. Close drains every
-// accepted op before stopping the consumers; later submissions settle
-// with ErrClosed, and a Submit racing Close completes or fails as a
-// whole — never torn. With telemetry armed, group sizes land in the
-// BatchSize histogram, async ops record submit-to-complete
-// SubmitLatency, and sync batched ops stamp their insert/delete
-// latencies from batch-submission time.
+// at ≥2x the per-op lane's throughput. With telemetry armed, group
+// sizes land in the BatchSize histogram, and batched ops stamp their
+// insert/delete latencies from batch-submission time.
 //
 // # Rebalancing
 //
@@ -314,8 +299,6 @@
 // Prometheus text (per-shard histograms, labeled shard="i"),
 // telemetry.Var plugs into expvar, and telemetry.NewServeMux bundles
 // /metrics, /debug/vars, and /debug/pprof into one stdlib mux.
-// telemetry.SnapshotWriter appends timestamped JSONL snapshots carrying
-// the benchfmt manifest for offline trajectories.
 //
 // With telemetry armed, Stats additionally reports LatencyP99 and
 // FlushP99 (zero, not an error, when telemetry is off), and observers

@@ -1,9 +1,7 @@
-// Batch walkthrough: submit grouped requests through the batched and
-// async surfaces. Apply runs a whole batch under one shard-lock
-// acquisition per touched shard with per-op error reporting; WithAsync
-// adds per-shard submission rings so producers enqueue batches and
-// collect results later through a Ticket, decoupling request arrival
-// from flush execution.
+// Batch walkthrough: submit grouped requests through the batched
+// surface. Apply runs a whole batch under one shard-lock acquisition
+// per touched shard with per-op error reporting; InsertBatch and
+// DeleteBatch wrap it for homogeneous batches.
 package main
 
 import (
@@ -17,7 +15,6 @@ func main() {
 	s, err := realloc.NewSharded(
 		realloc.WithShards(4),
 		realloc.WithEpsilon(0.25),
-		realloc.WithAsync(256),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -54,33 +51,6 @@ func main() {
 		log.Fatalf("delete batch failed: %v", errs)
 	}
 
-	// Submit enqueues on the async pipeline and returns a Ticket
-	// immediately; Wait collects the per-op errors once the per-shard
-	// consumers have executed the batch. One goroutine's submissions
-	// execute on each shard in submission order, so these two batches
-	// cannot reorder against each other on any shard they share.
-	t1 := s.Submit(realloc.Batch{
-		realloc.InsertOp(200, 1024),
-		realloc.InsertOp(201, 2048),
-	})
-	t2 := s.Submit(realloc.Batch{realloc.DeleteOp(200)})
-	if errs := t1.Wait(); errs != nil {
-		log.Fatalf("async insert batch failed: %v", errs)
-	}
-	if errs := t2.Wait(); errs != nil {
-		log.Fatalf("async delete batch failed: %v", errs)
-	}
-	fmt.Printf("after async batches: has(200)=%v has(201)=%v\n", s.Has(200), s.Has(201))
-
-	// Close drains everything already accepted, then stops the
-	// consumers; submissions after Close settle with ErrClosed.
-	last := s.Submit(realloc.Batch{realloc.InsertOp(300, 8)})
-	if err := s.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if errs := last.Wait(); errs == nil {
-		fmt.Println("pre-close submission drained before shutdown")
-	}
 	fmt.Printf("final: %d objects, volume %d, footprint %d\n",
 		s.Len(), s.Volume(), s.Footprint())
 }

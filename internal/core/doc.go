@@ -49,8 +49,9 @@
 // size-1 trigger; packing ends at L+∆ and the lone object must slide ∆-1
 // < ∆). The extra +w term restores a minimum slide of B+∆ ≥ any object
 // size at the cost of at most one extra ∆ in the transient (mid-flush)
-// footprint, leaving every asymptotic bound intact. EXPERIMENTS.md
-// reports the measured additive slack.
+// footprint, leaving every asymptotic bound intact. Experiment E6
+// reports the measured additive slack in its "transient slack / delta"
+// column (`reallocbench -e E6`).
 //
 // The Section 2 flush reaches the paper's layout in one order-preserving
 // sweep, where the paper compacts the flushed payload objects leftward

@@ -8,10 +8,11 @@
 // physically placed in a private address space, and emits the trace
 // events recorders price. The PODS'14 cost-oblivious reallocator
 // (internal/core) is the reference implementation; internal/engine/fcs
-// implements the Farach-Colton–Sheffield 2024 successor algorithm behind
-// the same interface. Each structure's core is fixed when New builds it;
-// core selection lives here, so the facade, the sharded front-end, and
-// the harness all pick engines through one seam.
+// is a slot-class core with the folklore O(w/ε) bound, motivated by
+// Farach-Colton–Sheffield, behind the same interface. Each structure's
+// core is fixed when New builds it; core selection lives here, so the
+// facade, the sharded front-end, and the harness all pick engines
+// through one seam.
 package engine
 
 import (
@@ -79,9 +80,10 @@ const (
 	// PODS14 is the reference core: the Bender et al. PODS'14
 	// cost-oblivious reallocator (all three variants).
 	PODS14 Core = iota
-	// FCS is the Farach-Colton–Sheffield 2024 successor core: size-class
-	// slots with swap-with-last compaction and whole-structure rebuilds,
-	// amortized O(w/ε) moved volume per size-w update (amortized only).
+	// FCS is a slot-class core with the folklore bound, motivated by
+	// Farach-Colton–Sheffield: size-class slots with swap-with-last
+	// compaction and whole-structure rebuilds, amortized O(w/ε) moved
+	// volume per size-w update (amortized only).
 	FCS
 )
 

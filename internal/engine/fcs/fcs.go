@@ -1,6 +1,8 @@
-// Package fcs implements the Farach-Colton–Sheffield successor
-// reallocator ("A Nearly Quadratic Improvement for Memory Reallocation",
-// 2024) behind the same substrate as the PODS'14 reference core.
+// Package fcs is a slot-class reallocator with the folklore amortized
+// O(w/ε) bound, motivated by Farach-Colton and Sheffield ("A Nearly
+// Quadratic Improvement for Memory Reallocation", arXiv 2405.12152) but
+// not their Õ(ε^{-1/2}) algorithm. It runs on the same substrate as the
+// PODS'14 reference core.
 //
 // The algorithm trades the paper's hole-free region layout for geometric
 // size classes of fixed-width slots. Object sizes are rounded up to the
@@ -22,11 +24,11 @@
 //     fresh-slot inserts grow the frontier by at most g·w < (1+ε)·w.
 //
 // Together these give amortized O(w/ε) moved volume per size-w update —
-// the successor paper's linear-in-1/ε regime, dropping the reference
-// algorithm's O((1/ε)·log(1/ε)) factor — while the footprint stays
-// within (1+ε)·V at every quiescent point. The price is slot slack: the
-// structure end is a g-factor rounding above the packed volume, where
-// the PODS'14 core packs payload regions hole-free.
+// the folklore linear-in-1/ε bound, without the reference algorithm's
+// log(1/ε) factor — while the footprint stays within (1+ε)·V at every
+// quiescent point. The price is slot slack: the structure end is a
+// g-factor rounding above the packed volume, where the PODS'14 core
+// packs payload regions hole-free.
 package fcs
 
 import (
@@ -84,7 +86,7 @@ type class struct {
 	occ    int     // occupied-slot count; slots occ..len-1 are free
 }
 
-// Reallocator is the FCS successor reallocator. It is not safe for
+// Reallocator is the slot-class reallocator. It is not safe for
 // concurrent use.
 type Reallocator struct {
 	cfg     Config

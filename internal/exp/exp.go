@@ -1,9 +1,10 @@
-// Package exp is the experiment harness: one function per experiment in
-// EXPERIMENTS.md (E1–E17), each regenerating the table or figure that
-// validates a claim of the paper. The harness is shared by
-// cmd/reallocbench, the root benchmark suite, and the integration tests
-// that assert the *shape* of each result (who wins, by what order, where
-// bounds hold).
+// Package exp is the experiment harness: one function per experiment
+// (E1–E17; `reallocbench -list` prints each claim, and README's
+// "Experiment harness" shows how to run them), each regenerating the
+// table or figure that validates a claim of the paper. The harness is
+// shared by cmd/reallocbench, the root benchmark suite, and the
+// integration tests that assert the *shape* of each result (who wins, by
+// what order, where bounds hold).
 package exp
 
 import (

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics and rendering helpers the
-// experiment harness uses: streaming moments, percentiles, histograms, and
-// fixed-width tables.
+// experiment harness uses: percentiles, fixed-width tables, and
+// sparklines.
 package stats
 
 import (
@@ -9,56 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Welford accumulates mean and variance in one pass.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest sample (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation. It copies and sorts; use for result reporting, not
@@ -83,50 +33,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Histogram counts values into log2 buckets; bucket i covers [2^i, 2^(i+1)).
-type Histogram struct {
-	counts []int64
-	total  int64
-}
-
-// Add records a value (values < 1 land in bucket 0).
-func (h *Histogram) Add(v int64) {
-	b := 0
-	for x := v; x > 1; x >>= 1 {
-		b++
-	}
-	for len(h.counts) <= b {
-		h.counts = append(h.counts, 0)
-	}
-	h.counts[b]++
-	h.total++
-}
-
-// Buckets returns the per-bucket counts.
-func (h *Histogram) Buckets() []int64 { return h.counts }
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int64 { return h.total }
-
-// String renders the histogram with proportional bars.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	var max int64
-	for _, c := range h.counts {
-		if c > max {
-			max = c
-		}
-	}
-	for i, c := range h.counts {
-		bar := 0
-		if max > 0 {
-			bar = int(40 * c / max)
-		}
-		fmt.Fprintf(&b, "[2^%-2d,2^%-2d) %8d %s\n", i, i+1, c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // Table renders rows with aligned columns. Build it with a header, add

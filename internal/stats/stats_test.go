@@ -4,66 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Fatal("zero value not neutral")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("n = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if math.Abs(w.Var()-32.0/7) > 1e-12 {
-		t.Fatalf("var = %v", w.Var())
-	}
-	if math.Abs(w.Std()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Fatalf("std = %v", w.Std())
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordMatchesNaive(t *testing.T) {
-	err := quick.Check(func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		var w Welford
-		var sum float64
-		for _, x := range xs {
-			w.Add(x)
-			sum += x
-		}
-		mean := sum / float64(len(xs))
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		naive := ss / float64(len(xs)-1)
-		scale := math.Max(1, math.Abs(naive))
-		return math.Abs(w.Var()-naive)/scale < 1e-6 && math.Abs(w.Mean()-mean) < 1e-6*math.Max(1, math.Abs(mean))
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -86,24 +27,6 @@ func TestPercentile(t *testing.T) {
 	Percentile(ys, 50)
 	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
 		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 1024} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	b := h.Buckets()
-	// 0 and 1 -> bucket 0; 2,3 -> bucket 1; 4,7 -> bucket 2; 8 -> 3; 1024 -> 10.
-	if b[0] != 2 || b[1] != 2 || b[2] != 2 || b[3] != 1 || b[10] != 1 {
-		t.Fatalf("buckets = %v", b)
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Fatal("histogram render missing bars")
 	}
 }
 

@@ -1,9 +1,8 @@
-// Exporters: the same registry surfaces three ways, all stdlib-only —
+// Exporters: the same registry surfaces two ways, both stdlib-only —
 // Prometheus text on /metrics (per-shard histograms, so a scrape sees
-// skew between shards, not just the blended tail), an expvar Var for
-// /debug/vars, and a JSONL snapshot writer that stamps each line with
-// the benchfmt manifest so offline tooling can line snapshots up with
-// BENCH_*.json trajectory records from the same commit.
+// skew between shards, not just the blended tail) and an expvar Var for
+// /debug/vars. AppendFindings flattens a snapshot into the findings of
+// a BENCH_*.json record.
 package telemetry
 
 import (
@@ -15,8 +14,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-
-	"realloc/internal/benchfmt"
 )
 
 // Summary is the percentile digest of one histogram, the shape
@@ -57,7 +54,6 @@ type Summaries struct {
 	FlushCopyNs      Summary `json:"flush_copy_ns"`
 	MigrateLatencyNs Summary `json:"migrate_latency_ns"`
 	BatchSizeOps     Summary `json:"batch_size_ops"`
-	SubmitLatencyNs  Summary `json:"submit_latency_ns"`
 	WALFsyncNs       Summary `json:"wal_fsync_ns"`
 	RecoveryNs       Summary `json:"recovery_ns"`
 	Checkpoints      int64   `json:"checkpoints"`
@@ -77,7 +73,6 @@ func (s *Snapshot) Summaries() Summaries {
 		FlushCopyNs:      s.FlushCopy.Summary(),
 		MigrateLatencyNs: s.MigrateLatency.Summary(),
 		BatchSizeOps:     s.BatchSize.Summary(),
-		SubmitLatencyNs:  s.SubmitLatency.Summary(),
 		WALFsyncNs:       s.WALFsync.Summary(),
 		RecoveryNs:       s.Recovery.Summary(),
 		Checkpoints:      s.Checkpoints,
@@ -110,7 +105,6 @@ func (s *Snapshot) AppendFindings(m map[string]float64, prefix string) {
 	add("flush_copy", "ns", &s.FlushCopy)
 	add("migrate_latency", "ns", &s.MigrateLatency)
 	add("batch_size", "ops", &s.BatchSize)
-	add("submit_latency", "ns", &s.SubmitLatency)
 	add("wal_fsync", "ns", &s.WALFsync)
 	add("recovery", "ns", &s.Recovery)
 	if s.Checkpoints != 0 {
@@ -196,8 +190,6 @@ func writePrometheus(w io.Writer, reg *Registry) {
 			func(s *Snapshot) *HistSnapshot { return &s.MigrateLatency }},
 		{"realloc_batch_size_ops", "Ops per executed batch group.", 1,
 			func(s *Snapshot) *HistSnapshot { return &s.BatchSize }},
-		{"realloc_submit_latency_seconds", "Async submit-to-complete latency per op.", 1e-9,
-			func(s *Snapshot) *HistSnapshot { return &s.SubmitLatency }},
 		{"realloc_wal_fsync_seconds", "WAL group-fsync latency.", 1e-9,
 			func(s *Snapshot) *HistSnapshot { return &s.WALFsync }},
 		{"realloc_recovery_seconds", "Crash-recovery duration per replay.", 1e-9,
@@ -242,36 +234,4 @@ func writeHistogram(w io.Writer, name, labels string, s *HistSnapshot, scale flo
 	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, s.Count)
 	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, strconv.FormatFloat(float64(s.Sum)*scale, 'g', -1, 64))
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
-}
-
-// SnapshotWriter emits one JSONL line per Write: sequence number,
-// process uptime, the benchfmt manifest (commit, Go version, procs),
-// and the full Summaries digest. Lines are self-describing so a file
-// concatenated across runs still attributes every sample.
-type SnapshotWriter struct {
-	enc      *json.Encoder
-	manifest benchfmt.Manifest
-	seq      int64
-}
-
-// snapshotLine is the schema of one JSONL line.
-type snapshotLine struct {
-	Seq      int64             `json:"seq"`
-	UptimeNs int64             `json:"uptime_ns"`
-	Manifest benchfmt.Manifest `json:"manifest"`
-	Metrics  Summaries         `json:"metrics"`
-}
-
-// NewSnapshotWriter captures the manifest once and streams lines to w.
-func NewSnapshotWriter(w io.Writer) *SnapshotWriter {
-	return &SnapshotWriter{enc: json.NewEncoder(w), manifest: benchfmt.CurrentManifest()}
-}
-
-// Write appends one snapshot line for the registry's current state.
-func (sw *SnapshotWriter) Write(reg *Registry) error {
-	var snap Snapshot
-	reg.ReadSnapshot(&snap)
-	line := snapshotLine{Seq: sw.seq, UptimeNs: Now(), Manifest: sw.manifest, Metrics: snap.Summaries()}
-	sw.seq++
-	return sw.enc.Encode(line)
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
@@ -23,7 +22,6 @@ func populatedRegistry(t *testing.T) *Registry {
 			set.FlushDuration.Record(r.Int63n(1 << 24))
 			set.FlushMoved.Record(r.Int63n(4096))
 			set.BatchSize.Record(1 + r.Int63n(512))
-			set.SubmitLatency.Record(r.Int63n(1 << 22))
 			set.WALFsync.Record(r.Int63n(1 << 21))
 		}
 		set.Recovery.Record(r.Int63n(1 << 26))
@@ -52,14 +50,12 @@ func TestPrometheusHandler(t *testing.T) {
 		`realloc_checkpoints_total{shard="1"} 20`,
 		`realloc_batch_size_ops_bucket{shard="0",`,
 		`realloc_batch_size_ops_count{shard="1"}`,
-		`realloc_submit_latency_seconds_bucket{shard="1",`,
 		`realloc_wal_fsync_seconds_bucket{shard="0",`,
 		`realloc_recovery_seconds_count{shard="1"}`,
 		"# TYPE realloc_insert_latency_seconds histogram",
 		"# TYPE realloc_wal_fsync_seconds histogram",
 		"# TYPE realloc_recovery_seconds histogram",
 		"# TYPE realloc_batch_size_ops histogram",
-		"# TYPE realloc_submit_latency_seconds histogram",
 		"# TYPE realloc_checkpoints_total counter",
 	} {
 		if !strings.Contains(body, want) {
@@ -136,45 +132,6 @@ func TestExpvarVar(t *testing.T) {
 	if got.InsertLatencyNs.P50 > got.InsertLatencyNs.P99 ||
 		got.InsertLatencyNs.P99 > got.InsertLatencyNs.Max {
 		t.Fatalf("percentiles not ordered: %+v", got.InsertLatencyNs)
-	}
-}
-
-// TestSnapshotWriter checks the JSONL stream: sequential seq numbers,
-// a manifest on every line, and metrics that track the registry.
-func TestSnapshotWriter(t *testing.T) {
-	reg := populatedRegistry(t)
-	var buf bytes.Buffer
-	sw := NewSnapshotWriter(&buf)
-	if err := sw.Write(reg); err != nil {
-		t.Fatal(err)
-	}
-	reg.Shard(0).InsertLatency.Record(1)
-	if err := sw.Write(reg); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var first, second snapshotLine
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
-		t.Fatal(err)
-	}
-	if first.Seq != 0 || second.Seq != 1 {
-		t.Fatalf("seq = %d,%d want 0,1", first.Seq, second.Seq)
-	}
-	if second.UptimeNs < first.UptimeNs {
-		t.Fatalf("uptime went backwards: %d -> %d", first.UptimeNs, second.UptimeNs)
-	}
-	if first.Manifest.GoVersion == "" {
-		t.Fatal("manifest missing Go version")
-	}
-	if second.Metrics.InsertLatencyNs.Count != first.Metrics.InsertLatencyNs.Count+1 {
-		t.Fatalf("metrics did not advance: %d -> %d",
-			first.Metrics.InsertLatencyNs.Count, second.Metrics.InsertLatencyNs.Count)
 	}
 }
 

@@ -252,8 +252,7 @@ type Set struct {
 	FlushChunk     Histogram // cells moved per deamortized session chunk
 	FlushCopy      Histogram // time in the flush's move loops, incl. per-move bookkeeping and observer callbacks (real backends only)
 	MigrateLatency Histogram // per-object rebalancer migration latency
-	BatchSize      Histogram // ops per executed batch group (Apply / async drains)
-	SubmitLatency  Histogram // async submit-to-complete latency per op
+	BatchSize      Histogram // ops per executed batch group (Apply)
 	WALFsync       Histogram // WAL group-fsync latency (durable stores)
 	Recovery       Histogram // crash-recovery duration per Recover/Open replay
 	Checkpoints    Counter   // checkpointed placements (checkpointed/deamortized variants)
@@ -271,7 +270,6 @@ func (s *Set) AddTo(snap *Snapshot) {
 	s.FlushCopy.AddTo(&snap.FlushCopy)
 	s.MigrateLatency.AddTo(&snap.MigrateLatency)
 	s.BatchSize.AddTo(&snap.BatchSize)
-	s.SubmitLatency.AddTo(&snap.SubmitLatency)
 	s.WALFsync.AddTo(&snap.WALFsync)
 	s.Recovery.AddTo(&snap.Recovery)
 	snap.Checkpoints += s.Checkpoints.Load()
@@ -291,7 +289,6 @@ type Snapshot struct {
 	FlushCopy      HistSnapshot
 	MigrateLatency HistSnapshot
 	BatchSize      HistSnapshot
-	SubmitLatency  HistSnapshot
 	WALFsync       HistSnapshot
 	Recovery       HistSnapshot
 	Checkpoints    int64

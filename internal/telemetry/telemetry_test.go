@@ -307,7 +307,6 @@ func TestTelemetryReadsAllocationFree(t *testing.T) {
 			set.InsertLatency.Record(r.Int63n(1 << 40))
 			set.FlushDuration.Record(r.Int63n(1 << 25))
 			set.BatchSize.Record(1 + r.Int63n(512))
-			set.SubmitLatency.Record(r.Int63n(1 << 22))
 		}
 	}
 	var snap Snapshot
@@ -322,7 +321,6 @@ func TestTelemetryReadsAllocationFree(t *testing.T) {
 		_ = snap.InsertLatency.Quantile(0.99)
 		_ = snap.FlushDuration.Quantile(0.99)
 		_ = snap.BatchSize.Quantile(0.99)
-		_ = snap.SubmitLatency.Quantile(0.99)
 	}); a != 0 {
 		t.Fatalf("snapshot + quantiles allocates %.1f/op, want 0", a)
 	}

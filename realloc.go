@@ -34,9 +34,9 @@ const (
 	// CorePODS14 is the reference core: the PODS'14 cost-oblivious
 	// reallocator, supporting all three variants.
 	CorePODS14 Core = iota
-	// CoreFCS is the Farach-Colton–Sheffield 2024 successor core:
-	// amortized O(w/ε) moved volume per size-w update, Amortized variant
-	// only.
+	// CoreFCS is a slot-class core with the folklore bound, motivated by
+	// Farach-Colton–Sheffield: amortized O(w/ε) moved volume per size-w
+	// update, Amortized variant only.
 	CoreFCS
 )
 
@@ -97,7 +97,6 @@ type config struct {
 	shardsSet bool
 	rebalance *RebalancePolicy
 	tel       *telemetry.Registry
-	async     int
 	backend   Backend
 }
 
@@ -235,17 +234,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *config) { c.tel = reg }
 }
 
-// WithAsync arms the per-shard asynchronous submission pipeline on a
-// sharded reallocator: Submit routes a batch once, pushes each op into
-// its owning shard's bounded ring (depth slots per shard), and returns
-// a Ticket immediately; one consumer goroutine per shard drains its
-// ring into the batched execution path, so submitters never block on
-// flush execution — only on a full ring (backpressure). depth must be
-// >= 1. It only applies to NewSharded; passing it to New is an error.
-// Call Close when done: it drains every accepted request and stops the
-// consumers.
-func WithAsync(depth int) Option { return func(c *config) { c.async = depth } }
-
 // WithBackend selects the payload data backend. The default, Metered,
 // counts moved volume without storing bytes — the cost-model view. A
 // real backend (HeapArena, MmapArena) stores each object's payload at
@@ -323,9 +311,6 @@ func New(opts ...Option) (*Reallocator, error) {
 	}
 	if cfg.rebalance != nil {
 		return nil, errors.New("realloc: WithRebalance requires NewSharded")
-	}
-	if cfg.async != 0 {
-		return nil, errors.New("realloc: WithAsync requires NewSharded")
 	}
 	if err := validateEpsilon(cfg.epsilon); err != nil {
 		return nil, err

@@ -97,16 +97,11 @@ func (s *ShardedReallocator) Migrations() (objects int64, volume int64) {
 // their hash home — the size of the id→shard override table.
 func (s *ShardedReallocator) RouteOverrides() int { return s.router.overrideCount() }
 
-// Close shuts down the reallocator's goroutines: it drains and stops
-// the async submission pipeline, if WithAsync armed one (every accepted
-// request executes before Close returns; later Submits settle with
-// ErrClosed), then stops the background rebalancer goroutine, if any,
-// and returns the first error any triggered sweep (background or
-// inline) hit. It is idempotent; the synchronous methods remain usable
-// after Close.
+// Close stops the background rebalancer goroutine, if any, and returns
+// the first error any triggered sweep (background or inline) hit. It is
+// idempotent, and every method remains usable after Close.
 func (s *ShardedReallocator) Close() error {
 	s.closeOnce.Do(func() {
-		s.closeAsync()
 		if s.stop != nil {
 			close(s.stop)
 			<-s.done

@@ -207,6 +207,10 @@ func TestBackgroundRebalance(t *testing.T) {
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
+	// The synchronous surface stays usable after Close.
+	if res := s.Apply(realloc.Batch{realloc.InsertOp(1<<40, 4)}); res != nil {
+		t.Fatalf("Apply after Close returned %v", res)
+	}
 }
 
 // TestShardedObserverMigrationReplay is the observer contract under

@@ -90,14 +90,6 @@ type ShardedReallocator struct {
 	// steady-state Apply calls allocate nothing.
 	applyPool sync.Pool
 
-	// Async submission pipeline state (nil/zero without WithAsync); see
-	// async.go.
-	rings     []chan asyncReq
-	asyncCap  int
-	asyncMu   sync.RWMutex
-	asyncDown bool
-	asyncWG   sync.WaitGroup
-
 	// rebalanceMu serializes sweeps; errMu guards the sticky background
 	// error returned by Close.
 	rebalanceMu sync.Mutex
@@ -388,20 +380,6 @@ func NewSharded(opts ...Option) (*ShardedReallocator, error) {
 			return nil, err
 		}
 		s.shards[i] = &shard{inner: inner, metrics: m, tel: set}
-	}
-	if cfg.async != 0 {
-		if cfg.async < 1 {
-			return nil, fmt.Errorf("realloc: WithAsync depth must be >= 1, got %d", cfg.async)
-		}
-		s.asyncCap = cfg.async
-		s.rings = make([]chan asyncReq, n)
-		for i := range s.rings {
-			s.rings[i] = make(chan asyncReq, cfg.async)
-		}
-		s.asyncWG.Add(n)
-		for i := 0; i < n; i++ {
-			go s.consumeRing(i)
-		}
 	}
 	if cfg.rebalance != nil {
 		pol := toInternalPolicy(*cfg.rebalance).WithDefaults()
