@@ -40,8 +40,9 @@ func BlockStoreBackend(b Backend) BlockStoreOption {
 }
 
 // BlockStoreDir selects durable mode: the store writes real media in
-// dir — a file-backed (mmap where available) payload arena synced at
-// every checkpoint plus a write-ahead log of every placement. A store
+// dir — a file-backed payload arena whose dirty pages are written back
+// and fsynced at every checkpoint, plus a write-ahead log of every
+// placement. A store
 // created with NewBlockStore truncates any state in dir; use
 // OpenBlockStore to recover it instead. In durable mode Crash/Recover
 // model a machine reboot (replaying the log against the surviving

@@ -107,8 +107,8 @@
 // every durable block's bytes at its checkpointed extent.
 //
 // BlockStoreDir takes that contract to real media: the store keeps a
-// file-backed (mmap where available) payload arena synced at every
-// checkpoint plus a crc64-framed write-ahead log of every placement,
+// file-backed payload arena, whose checkpoint sync writes back only the
+// pages dirtied since the previous one, plus a crc64-framed write-ahead log of every placement,
 // and OpenBlockStore recovers a directory by replaying the log to the
 // last durable checkpoint — truncating any torn tail — and verifying
 // each surviving block's checksum against the arena image. Since the

@@ -15,6 +15,11 @@
 // of a copy is the memmove's own. The E17 experiment builds its
 // metered-cells vs measured-bytes/ns table from those two sources.
 //
+// The file backend keeps its bytes in memory too and adds a backing
+// file: Sync writes back only the pages written since the last Sync,
+// then fsyncs. No backend maps a file, so a full disk surfaces as an
+// error from Sync, never as a fault inside a copy.
+//
 // Backends are not safe for concurrent use; the engine serializes all
 // access (the facades' locks extend over payload reads and writes).
 package arena
@@ -46,9 +51,10 @@ const (
 	// Mmap backs the address space with an anonymous memory mapping
 	// (falling back to the heap on platforms without mmap).
 	Mmap
-	// File backs the address space with a named, file-backed mapping
-	// that Sync flushes to media (msync + fsync). A File backend needs
-	// a path: construct it with Create, Open, or FromFile, not New.
+	// File keeps the address space in memory, as Mmap does, over a
+	// backing file: Sync writes the pages dirtied since the last Sync
+	// to the file and fsyncs it. A File backend needs a file:
+	// construct it with Create or FromFile, not New.
 	File
 )
 
@@ -114,9 +120,10 @@ type Backend interface {
 	Bytes(start, size int64) []byte
 	// Counters returns the cumulative cost accounting.
 	Counters() Counters
-	// Sync flushes payload bytes to durable media: msync + fsync for
-	// the file backend, a no-op nil for memory-only backends. After
-	// Close it returns ErrClosed.
+	// Sync flushes payload bytes to durable media: the file backend
+	// writes back the pages dirtied since its last Sync and fsyncs;
+	// memory-only backends return nil. After Close it returns
+	// ErrClosed.
 	Sync() error
 	// Close releases backend resources. Close is idempotent; any other
 	// use of a closed backend fails fast — payload access panics with
@@ -134,7 +141,7 @@ func New(k Kind) (Backend, error) {
 	case Mmap:
 		return newMmap()
 	case File:
-		return nil, errors.New("arena: the file backend needs a path; use Create, Open, or FromFile")
+		return nil, errors.New("arena: the file backend needs a file; use Create or FromFile")
 	default:
 		return nil, fmt.Errorf("arena: unknown kind %d", int(k))
 	}

@@ -13,8 +13,9 @@
 // The store runs in one of two modes. The default is in-memory: the
 // durable map is a shadow snapshot and Crash/Recover simulate failure
 // without touching media. Durable mode (Config.Dir or Config.FS, see
-// durable.go) writes real media — a file-backed payload arena synced at
-// checkpoints plus a write-ahead log of every placement — and Recover
+// durable.go) writes real media — a file-backed payload arena, whose
+// checkpoint sync writes back only the pages dirtied since the last
+// one, plus a write-ahead log of every placement — and Recover
 // replays the log and verifies the surviving arena bytes instead of
 // reading any in-memory state. Durable stores therefore keep neither
 // the shadow map nor per-cell owner stamps: a durable checkpoint costs
@@ -74,7 +75,6 @@ type Store struct {
 	// Durable-mode machinery (see durable.go); all zero for in-memory
 	// stores.
 	fs    faultfs.FS
-	dir   string // non-empty selects the mmap file arena over real files
 	data  arena.Backend
 	walF  faultfs.File
 	w     *wal.Writer
@@ -125,9 +125,9 @@ type Config struct {
 	// mode, which always stores real bytes on media.
 	Backend arena.Kind
 	// Dir, when non-empty, selects durable mode over real files in that
-	// directory: a file-backed (mmap where available) payload arena
-	// synced at every checkpoint, plus a write-ahead log. New truncates
-	// any existing state; Open recovers from it.
+	// directory: a file-backed payload arena whose dirty pages are
+	// written back and fsynced at every checkpoint, plus a write-ahead
+	// log. New truncates any existing state; Open recovers from it.
 	Dir string
 	// FS, when non-nil, selects durable mode over the given file system
 	// instead of real files — the fault-injection seam (a faultfs.MemFS
@@ -215,7 +215,6 @@ func newShell(cfg Config) (*Store, error) {
 		s.backend = arena.File
 	} else if cfg.Dir != "" {
 		s.fs = faultfs.OS{Dir: cfg.Dir}
-		s.dir = cfg.Dir
 		s.backend = arena.File
 	}
 	return s, nil

@@ -2,11 +2,13 @@ package btl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"math/rand/v2"
 	"os"
 	"strconv"
+	"syscall"
 	"testing"
 
 	"realloc/internal/faultfs"
@@ -42,6 +44,8 @@ type crashModel struct {
 	info  map[uint64]mblock // id → payload bookkeeping
 	seq   uint64
 	snaps map[uint64]map[string]mblock // seq → name-projected state
+	// stopErr is the store's sticky error when the workload ended.
+	stopErr error
 }
 
 func newCrashModel(st *Store) *crashModel {
@@ -150,6 +154,7 @@ func runWorkload(t *testing.T, fs *faultfs.MemFS, seed uint64, ops int) (m *cras
 			durableFloor = st.seq
 		}
 	}
+	m.stopErr = st.Err()
 	return m, durableFloor, m.seq
 }
 
@@ -281,6 +286,31 @@ func TestCrashAtEveryFaultPoint(t *testing.T) {
 		schedules++
 	}
 	t.Logf("fault-point sweep: %d schedules over %d writes + %d syncs", schedules, writes, syncs)
+}
+
+// TestNoSpaceAtEveryWrite fills the disk at each write of the
+// fault-point sweep's workload in turn. The store must stop with a
+// sticky ENOSPC error, never a panic, and recovery must land inside the
+// durable window. Each schedule then crashes and recovers once more:
+// the second recovery reads the arena generation the first one
+// created, so it also checks that recovery made that file's directory
+// entry durable before its checkpoint named it.
+func TestNoSpaceAtEveryWrite(t *testing.T) {
+	const seed, ops = 42, 60
+	baseline := faultfs.NewMemFS(nil)
+	runWorkload(t, baseline, seed, ops)
+	writes := baseline.Injector().Writes()
+	for i := 1; i <= writes; i++ {
+		tag := fmt.Sprintf("nospace@write%d", i)
+		fs := faultfs.NewMemFS(faultfs.NewInjector(faultfs.Fault{Kind: faultfs.NoSpace, N: i}))
+		m, floor, last := runWorkload(t, fs, seed, ops)
+		if !errors.Is(m.stopErr, syscall.ENOSPC) {
+			t.Fatalf("%s: store stopped with %v, want a sticky ENOSPC", tag, m.stopErr)
+		}
+		verifyRecovery(t, fs, m, floor, last, tag)
+		verifyRecovery(t, fs, m, floor, last, tag+"/again")
+	}
+	t.Logf("full-disk sweep: %d schedules", writes)
 }
 
 // TestRandomCrashSchedules is the randomized side of the harness: fault

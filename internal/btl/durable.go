@@ -4,13 +4,20 @@
 //   - wal.log — the write-ahead log, a framed mirror of the substrate's
 //     event stream (insert/move/delete), payload checksums, and
 //     checkpoint markers (see internal/wal);
-//   - arena.<gen>.img — the payload arena, synced to media at every
-//     checkpoint. The generation counter exists so recovery never
-//     writes the image a durable checkpoint still references: each
-//     recovery rebuilds into arena.<gen+1>.img, and only after the new
-//     image and the WAL checkpoint record naming it are durable is the
-//     old generation removed. A crash at ANY point of recovery
-//     therefore replays the old WAL against the old, untouched image.
+//   - arena.<gen>.img — the payload arena, held in memory and synced
+//     to media at every checkpoint by writing back the pages dirtied
+//     since the previous one (internal/arena). The generation counter
+//     exists so recovery never writes the image a durable checkpoint
+//     still references: each recovery rebuilds into arena.<gen+1>.img,
+//     and only after the new image and the WAL checkpoint record naming
+//     it are durable is the old generation removed. A crash at ANY
+//     point of recovery therefore replays the old WAL against the old,
+//     untouched image.
+//
+// Both files are made durable in the directory (FS.SyncDir) as soon as
+// they are created, before any checkpoint record can name them: after a
+// power loss a new file's entry can otherwise vanish while the WAL that
+// names it survives.
 //
 // Checkpoint protocol (snapshot in btl.go): arena sync, then checkpoint
 // record, then WAL group-fsync. Replay order is event order because the
@@ -56,29 +63,29 @@ func Open(cfg Config) (*Store, RecoveryReport, error) {
 	return s, rep, nil
 }
 
-// newArenaBackend opens the payload arena for the current generation:
-// the mmap-backed file arena over a real directory, or the plain-I/O
-// arena over the injectable FS.
-func (s *Store) newArenaBackend(fresh bool) (arena.Backend, error) {
-	name := arenaFileName(s.gen)
-	if s.dir != "" {
-		path := s.dir + "/" + name
-		if fresh {
-			return arena.Create(path)
-		}
-		return arena.Open(path)
-	}
-	f, err := s.fs.OpenFile(name)
+// newArenaBackend creates an empty payload arena file for the current
+// generation, then syncs the directory so that the file's entry (and
+// that of a WAL created just before it) survives a power loss before
+// any checkpoint record can name the generation.
+func (s *Store) newArenaBackend() (arena.Backend, error) {
+	f, err := s.fs.OpenFile(arenaFileName(s.gen))
 	if err != nil {
 		return nil, err
 	}
-	if fresh {
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := f.Truncate(0); err != nil {
+		f.Close()
+		return nil, err
 	}
-	return arena.FromFile(f)
+	if err := s.fs.SyncDir(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("btl: sync store directory: %w", err)
+	}
+	data, err := arena.FromFile(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return data, nil
 }
 
 // freshMedia truncates any existing store state and opens generation-1
@@ -93,7 +100,7 @@ func (s *Store) freshMedia() (arena.Backend, error) {
 		return nil, err
 	}
 	s.gen = 1
-	data, err := s.newArenaBackend(true)
+	data, err := s.newArenaBackend()
 	if err != nil {
 		walF.Close()
 		return nil, err
@@ -222,7 +229,7 @@ func (s *Store) recoverFromMedia() (RecoveryReport, error) {
 
 	// Rebuild into the next generation; the old image stays untouched
 	// until the checkpoint below makes the new one authoritative.
-	data, err := s.newArenaBackend(true)
+	data, err := s.newArenaBackend()
 	if err != nil {
 		return rep, fmt.Errorf("btl: create arena generation %d: %w", s.gen, err)
 	}

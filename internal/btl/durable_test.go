@@ -95,6 +95,45 @@ func TestDurableRoundTripDir(t *testing.T) {
 	_ = s3.Close()
 }
 
+// TestDurableReserveBeyondWrittenPages: a block reserved past every
+// written page grows the arena without dirtying any page, so only the
+// checkpoint's file extension puts its extent inside the image that
+// recovery bounds-checks.
+func TestDurableReserveBeyondWrittenPages(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("small", payload("small", 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reserve("big", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	s.Checkpoint()
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rep, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rep.Recovered != 2 {
+		t.Fatalf("recovered %d blocks, want 2", rep.Recovered)
+	}
+	if ext, ok := s2.Lookup("big"); !ok || ext.Size != 1<<20 {
+		t.Fatalf("reserved block after reopen: %v, %v", ext, ok)
+	}
+	if got, err := s2.Get("small"); err != nil || !bytes.Equal(got, payload("small", 16)) {
+		t.Fatalf("small block after reopen: %v", err)
+	}
+}
+
 func TestOpenEmptyDirYieldsEmptyStore(t *testing.T) {
 	s, rep, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {

@@ -22,7 +22,13 @@
 //     dropped too. This global semantics is what makes the fault
 //     survivable: the durable image can never run ahead of the lie.
 //   - transient EIO: the Nth write fails once with syscall.EIO and
-//     succeeds when retried (the writer above owns retry/backoff).
+//     succeeds when retried (the writer above owns retry/backoff);
+//   - full disk: from the Nth write on, every write fails with
+//     syscall.ENOSPC and nothing lands, until the crash.
+//
+// MemFS also models the directory: a file created since the last
+// SyncDir loses its entry at a crash, contents and all, as a newly
+// created file can after a power loss.
 //
 // Write and sync counters are global across a MemFS's files, so a plan
 // addresses the interleaved stream the store actually emits, and plans
@@ -36,6 +42,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"syscall"
 )
@@ -70,6 +77,9 @@ type File interface {
 type FS interface {
 	OpenFile(name string) (File, error)
 	Remove(name string) error
+	// SyncDir makes the directory durable: every file created so far
+	// survives a crash (its contents only as far as its own Syncs).
+	SyncDir() error
 }
 
 // ---------------------------------------------------------------------
@@ -96,6 +106,27 @@ func (o OS) OpenFile(name string) (File, error) {
 
 // Remove deletes the named file.
 func (o OS) Remove(name string) error { return os.Remove(o.path(name)) }
+
+// SyncDir fsyncs the directory. Windows cannot open a directory for
+// fsync; NTFS journals its metadata, so there it is a no-op.
+func (o OS) SyncDir() error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	dir := o.Dir
+	if dir == "" {
+		dir = "."
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
+}
 
 // osFile adapts *os.File, mapping short reads at EOF to the full-buffer
 // contract replay relies on (ReadAt already does; Size via Stat).
@@ -138,6 +169,10 @@ const (
 	// TransientEIO fails the Nth global write once with syscall.EIO;
 	// the retried write proceeds normally.
 	TransientEIO
+	// NoSpace fills the disk at the Nth global write: it and every
+	// later write fail with syscall.ENOSPC and nothing lands, until
+	// Crash. Syncs still persist what landed before.
+	NoSpace
 )
 
 func (k FaultKind) String() string {
@@ -150,6 +185,8 @@ func (k FaultKind) String() string {
 		return "dropSync"
 	case TransientEIO:
 		return "transientEIO"
+	case NoSpace:
+		return "noSpace"
 	default:
 		return "unknown"
 	}
@@ -160,7 +197,7 @@ func (k FaultKind) String() string {
 type Fault struct {
 	Kind FaultKind
 	// N is the 1-based global ordinal (write ordinal for CrashAtWrite,
-	// TornWrite, TransientEIO; sync ordinal for DropSync).
+	// TornWrite, TransientEIO, NoSpace; sync ordinal for DropSync).
 	N int
 	// TearBytes is how many leading bytes of the faulted write persist
 	// (TornWrite only); clamped to the write's length.
@@ -182,6 +219,8 @@ type Injector struct {
 	wedged bool
 	// dropping: a DropSync fired; every later sync is a silent no-op.
 	dropping bool
+	// full: a NoSpace fired; every later write fails with ENOSPC.
+	full bool
 	// fired counts faults that actually triggered.
 	fired int
 }
@@ -213,6 +252,7 @@ const (
 	writeCrash
 	writeTorn
 	writeEIO
+	writeNoSpace
 	writeWedged
 )
 
@@ -225,6 +265,9 @@ func (in *Injector) onWrite() (writeDecision, int64) {
 		return writeWedged, 0
 	}
 	in.writes++
+	if in.full {
+		return writeNoSpace, 0
+	}
 	for i := range in.plan {
 		f := &in.plan[i]
 		if f.N != in.writes {
@@ -250,6 +293,10 @@ func (in *Injector) onWrite() (writeDecision, int64) {
 			f.N = -1
 			in.fired++
 			return writeEIO, 0
+		case NoSpace:
+			in.full = true
+			in.fired++
+			return writeNoSpace, 0
 		}
 	}
 	return writeOK, 0
@@ -320,10 +367,12 @@ type MemFS struct {
 	gen   int
 }
 
-// memData is one file's two images.
+// memData is one file's two images, plus whether its directory entry
+// is durable (a SyncDir ran since it was created).
 type memData struct {
 	durable  []byte
 	volatile []byte
+	linked   bool
 }
 
 // NewMemFS builds an empty crashable fs. inj may be nil (no faults).
@@ -338,20 +387,43 @@ func NewMemFS(inj *Injector) *MemFS {
 func (fs *MemFS) Injector() *Injector { return fs.inj }
 
 // Crash discards every file's volatile image — unsynced writes are
-// gone, torn fragments stay — and invalidates all open handles. The
-// injector's wedge is cleared so the "rebooted machine" can run again;
-// its dropped-sync state clears too (a reboot resets the disk cache).
+// gone, torn fragments stay — drops every file created since the last
+// SyncDir, and invalidates all open handles. The injector's wedge is
+// cleared so the "rebooted machine" can run again; its dropped-sync
+// and full-disk states clear too (a reboot resets the disk cache, and
+// the operator has made room).
 func (fs *MemFS) Crash() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for _, d := range fs.files {
+	for name, d := range fs.files {
+		if !d.linked {
+			delete(fs.files, name)
+			continue
+		}
 		d.volatile = append([]byte(nil), d.durable...)
 	}
 	fs.gen++
 	fs.inj.mu.Lock()
 	fs.inj.wedged = false
 	fs.inj.dropping = false
+	fs.inj.full = false
 	fs.inj.mu.Unlock()
+}
+
+// SyncDir makes every existing file's directory entry durable. It is
+// one sync of the Injector's global stream: a DropSync addressed to it
+// (or fired before it) leaves the entries volatile.
+func (fs *MemFS) SyncDir() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	persist, err := fs.inj.onSync()
+	if err != nil || !persist {
+		return err
+	}
+	for _, d := range fs.files {
+		d.linked = true
+	}
+	return nil
 }
 
 // OpenFile opens (or creates) the named file. The handle is bound to
@@ -439,6 +511,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	case writeEIO:
 		f.fs.mu.Unlock()
 		return 0, syscall.EIO
+	case writeNoSpace:
+		f.fs.mu.Unlock()
+		return 0, syscall.ENOSPC
 	case writeTorn:
 		if tear > int64(len(p)) {
 			tear = int64(len(p))

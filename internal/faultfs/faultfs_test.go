@@ -16,6 +16,9 @@ func TestMemFSDurabilityModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +60,9 @@ func TestMemFSDurabilityModel(t *testing.T) {
 func TestInjectorCrashAtWrite(t *testing.T) {
 	fs := NewMemFS(NewInjector(Fault{Kind: CrashAtWrite, N: 2}))
 	f, _ := fs.OpenFile("a")
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.WriteAt([]byte("one"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +90,9 @@ func TestInjectorCrashAtWrite(t *testing.T) {
 func TestInjectorTornWrite(t *testing.T) {
 	fs := NewMemFS(NewInjector(Fault{Kind: TornWrite, N: 2, TearBytes: 3}))
 	f, _ := fs.OpenFile("a")
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.WriteAt([]byte("base"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +116,13 @@ func TestTornWriteAfterDropPersistsNothing(t *testing.T) {
 	// write must degenerate to a plain crash, not smuggle a fragment
 	// into the durable image past the dropped syncs.
 	fs := NewMemFS(NewInjector(
-		Fault{Kind: DropSync, N: 1},
+		Fault{Kind: DropSync, N: 2},
 		Fault{Kind: TornWrite, N: 2, TearBytes: 3},
 	))
 	f, _ := fs.OpenFile("a")
+	if err := fs.SyncDir(); err != nil { // sync 1: effective
+		t.Fatal(err)
+	}
 	if _, err := f.WriteAt([]byte("base"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -128,25 +140,28 @@ func TestTornWriteAfterDropPersistsNothing(t *testing.T) {
 }
 
 func TestInjectorDropSyncIsGlobal(t *testing.T) {
-	fs := NewMemFS(NewInjector(Fault{Kind: DropSync, N: 2}))
+	fs := NewMemFS(NewInjector(Fault{Kind: DropSync, N: 3}))
 	a, _ := fs.OpenFile("a")
 	b, _ := fs.OpenFile("b")
+	if err := fs.SyncDir(); err != nil { // sync 1: effective
+		t.Fatal(err)
+	}
 	if _, err := a.WriteAt([]byte("aa"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Sync(); err != nil { // sync 1: effective
+	if err := a.Sync(); err != nil { // sync 2: effective
 		t.Fatal(err)
 	}
 	if _, err := a.WriteAt([]byte("AA"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Sync(); err != nil { // sync 2: dropped, silently
+	if err := a.Sync(); err != nil { // sync 3: dropped, silently
 		t.Fatal(err)
 	}
 	if _, err := b.WriteAt([]byte("bb"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Sync(); err != nil { // sync 3: dropped too — global
+	if err := b.Sync(); err != nil { // sync 4: dropped too — global
 		t.Fatal(err)
 	}
 	if !fs.Injector().Dropping() {
@@ -215,6 +230,9 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
 	if sz, err := f.Size(); err != nil || sz != 7 {
 		t.Fatalf("size %d %v", sz, err)
 	}
@@ -236,5 +254,72 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(fs.Dir, "data")); !os.IsNotExist(err) {
 		t.Fatalf("file not removed: %v", err)
+	}
+}
+
+// TestCrashDropsUnsyncedDirectoryEntries: a file created since the last
+// SyncDir is gone after a crash, even if its own contents were synced;
+// files the directory sync covered survive.
+func TestCrashDropsUnsyncedDirectoryEntries(t *testing.T) {
+	fs := NewMemFS(nil)
+	old, _ := fs.OpenFile("old")
+	if _, err := old.WriteAt([]byte("kept"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
+	young, _ := fs.OpenFile("young")
+	if _, err := young.WriteAt([]byte("lost"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := young.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	if n := fs.DurableLen("old"); n != 4 {
+		t.Fatalf("dir-synced file: durable length %d, want 4", n)
+	}
+	if err := fs.Remove("young"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("file created after the last SyncDir survived the crash: %v", err)
+	}
+	if got := fs.Injector().Syncs(); got != 3 {
+		t.Fatalf("SyncDir must count as a sync: %d syncs, want 3", got)
+	}
+}
+
+// TestNoSpace: from the Nth write on, every write fails with ENOSPC and
+// nothing lands; syncs persist what landed before; a crash clears the
+// condition.
+func TestNoSpace(t *testing.T) {
+	fs := NewMemFS(NewInjector(Fault{Kind: NoSpace, N: 2}))
+	f, _ := fs.OpenFile("a")
+	if err := fs.SyncDir(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("base"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if n, err := f.WriteAt([]byte("more"), 4); n != 0 || !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("write on a full disk: %d, %v", n, err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync on a full disk: %v", err)
+	}
+	if sz, _ := f.Size(); sz != 4 {
+		t.Fatalf("size %d after failed writes, want 4", sz)
+	}
+	fs.Crash()
+	g, _ := fs.OpenFile("a")
+	if _, err := g.WriteAt([]byte("room"), 4); err != nil {
+		t.Fatalf("write after the crash: %v", err)
+	}
+	if got := fs.Injector().Fired(); got != 1 {
+		t.Fatalf("fired %d faults, want 1", got)
 	}
 }

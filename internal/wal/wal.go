@@ -246,20 +246,23 @@ func NewWriter(f faultfs.File, off int64) *Writer {
 // Offset returns where the next frame will land.
 func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 
-// Append frames one record into the group buffer.
+// Append frames one record into the group buffer. The payload is
+// encoded in place after a reserved header, whose length and crc are
+// filled in last. w.buf is reassigned only once the frame is whole, so
+// a record that cannot be framed leaves the buffer as it was.
 func (w *Writer) Append(r Record) error {
-	payload, err := appendRecord(nil, r)
+	at := len(w.buf)
+	buf, err := appendRecord(append(w.buf, make([]byte, headerSize)...), r)
 	if err != nil {
 		return err
 	}
+	payload := buf[at+headerSize:]
 	if len(payload)+headerSize > maxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[4:], crc64.Checksum(payload, crcTable))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(buf[at+4:], crc64.Checksum(payload, crcTable))
+	w.buf = buf
 	return nil
 }
 

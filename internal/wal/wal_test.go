@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc64"
+	"syscall"
 	"testing"
 
 	"realloc/internal/faultfs"
@@ -250,5 +253,102 @@ func TestDecodeRejectsGarbageLengths(t *testing.T) {
 	}
 	if rep.Frames != 0 || rep.Truncated != headerSize {
 		t.Fatalf("garbage header: %+v", rep)
+	}
+}
+
+func TestWriterDoesNotRetryNoSpace(t *testing.T) {
+	fs, f := logFile(t, faultfs.NewInjector(faultfs.Fault{Kind: faultfs.NoSpace, N: 1}))
+	w := NewWriter(f, 0)
+	w.RetryDelay = 0
+	_ = w.Append(Record{Kind: KInsert, ID: 1, Start: 0, Size: 1, Name: "x"})
+	if err := w.Sync(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("want ENOSPC, got %v", err)
+	}
+	if n := fs.Injector().Writes(); n != 1 {
+		t.Fatalf("a full disk was written %d times, want 1 (no retry)", n)
+	}
+}
+
+// appendRecords is a mix of every record kind, names included.
+var appendRecords = []Record{
+	{Kind: KInsert, ID: 7, Start: 4096, Size: 130, Name: "blk00000007"},
+	{Kind: KInsert, ID: 8, Start: 1 << 40, Size: 1, Sum: 0xfeed, HasSum: true, Name: ""},
+	{Kind: KMove, ID: 7, Start: 8192},
+	{Kind: KSum, ID: 7, Sum: 0xdeadbeef},
+	{Kind: KDelete, ID: 8},
+	{Kind: KCheckpoint, Seq: 3, ID: 2},
+}
+
+// TestAppendFramesInPlace: frames encoded in place in the group buffer
+// are byte-identical to a header followed by the separately encoded
+// payload, and a record that cannot be framed leaves the buffer as it
+// was.
+func TestAppendFramesInPlace(t *testing.T) {
+	_, f := logFile(t, nil)
+	w := NewWriter(f, 0)
+	var want []byte
+	for i, r := range appendRecords {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := appendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [headerSize]byte
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+		binary.LittleEndian.PutUint64(hdr[4:], crc64.Checksum(payload, crcTable))
+		want = append(append(want, hdr[:]...), payload...)
+		if !bytes.Equal(w.buf, want) {
+			t.Fatalf("record %d (%v): frame bytes diverged", i, r.Kind)
+		}
+		bad := Record{Kind: KInsert, ID: 9, Name: string(make([]byte, maxName+1))}
+		if i%2 == 1 {
+			bad = Record{Kind: 99}
+		}
+		if err := w.Append(bad); err == nil {
+			t.Fatalf("record %d: unframeable record accepted", i)
+		}
+		if !bytes.Equal(w.buf, want) {
+			t.Fatalf("record %d: a rejected record changed the buffer", i)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Open(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Frames != len(appendRecords) || rep.Truncated != 0 {
+		t.Fatalf("replay: %+v", rep)
+	}
+}
+
+// TestAppendAllocationFree: once the group buffer has grown, Append
+// allocates nothing.
+func TestAppendAllocationFree(t *testing.T) {
+	_, f := logFile(t, nil)
+	w := NewWriter(f, 0)
+	const runs = 100
+	for i := 0; i < 2*runs; i++ {
+		for _, r := range appendRecords {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, r := range appendRecords {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %.1f times per %d records, want 0", allocs, len(appendRecords))
 	}
 }
