@@ -17,8 +17,8 @@ import (
 
 // benchBlockChurn drives steady-state block churn — Drop+Put pairs with
 // a periodic explicit checkpoint — against a block store. The durable
-// lane pays a WAL append per placement and an arena sync + group-fsync
-// per checkpoint; the heap lane pays only the memmoves.
+// lane pays a WAL append per placement and one round of parallel WAL
+// and arena syncs per checkpoint; the heap lane pays only the memmoves.
 func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 	const live = 256
 	const ckptEvery = 128
@@ -70,8 +70,8 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 
 // BenchmarkDurableChurn prices durability: identical block churn on the
 // in-memory heap arena (lane "heap") and in durable mode (lane "wal" —
-// WAL appends per placement, file-backed arena synced plus WAL
-// group-fsync per checkpoint). cmd/benchgate's -durable lane compares
+// WAL appends per placement, WAL group-fsync and file-backed arena sync
+// in parallel per checkpoint). cmd/benchgate's -durable lane compares
 // the pair and fails CI when the durable path's per-op cost drifts
 // beyond its bound.
 func BenchmarkDurableChurn(b *testing.B) {

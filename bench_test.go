@@ -424,7 +424,7 @@ func BenchmarkShardedSkew8(b *testing.B) {
 // steps that hold each worker's live volume near its target. The shard
 // count is pinned at 8 so `-cpu 1,2,4,8` sweeps parallelism over an
 // identical structure; the cores→throughput curve is the scaling result
-// (see BENCH_ci_scaling).
+// (CI uploads it as the BENCH_ci_scaling.json artifact).
 func benchShardedParallelMix(b *testing.B, readPct int) {
 	const shards = 8
 	const targetVol = 1 << 15

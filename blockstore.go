@@ -70,6 +70,12 @@ type BlockStoreRecovery struct {
 	// WALTail is how many torn/uncheckpointed tail records were
 	// truncated from the write-ahead log.
 	WALTail int
+	// FellBack reports that recovery landed one checkpoint before the
+	// last: the crash let that checkpoint's log record reach the disk
+	// but not all of its arena pages (a checkpoint syncs the two in
+	// parallel), so its blocks failed their checksums. Recovery never
+	// falls back further.
+	FellBack bool
 }
 
 // OpenBlockStore recovers a durable block store from the media a
@@ -87,7 +93,7 @@ func OpenBlockStore(opts ...BlockStoreOption) (*BlockStore, BlockStoreRecovery, 
 		return nil, BlockStoreRecovery{}, err
 	}
 	return &BlockStore{inner: inner},
-		BlockStoreRecovery{Recovered: rep.Recovered, Seq: rep.Seq, WALTail: rep.WALTail}, nil
+		BlockStoreRecovery{Recovered: rep.Recovered, Seq: rep.Seq, WALTail: rep.WALTail, FellBack: rep.FellBack}, nil
 }
 
 // NewBlockStore creates an empty block store.
@@ -143,6 +149,8 @@ func (s *BlockStore) Footprint() int64 { return s.inner.Footprint() }
 func (s *BlockStore) Volume() int64 { return s.inner.Volume() }
 
 // Checkpoint durably writes the translation map and recycles freed space.
+// In durable mode it appends a checkpoint record, then syncs the log and
+// writes back and syncs the arena's dirty pages in parallel.
 func (s *BlockStore) Checkpoint() { s.inner.Checkpoint() }
 
 // Checkpoints returns how many checkpoints have occurred (explicit plus
@@ -174,6 +182,6 @@ func (s *BlockStore) Err() error { return s.inner.Err() }
 func (s *BlockStore) CheckInvariants() error { return s.inner.CheckInvariants() }
 
 // Close releases the store's resources; in durable mode it closes the
-// arena mapping and the WAL handle (without checkpointing — call
+// arena and the WAL handle (without checkpointing — call
 // Checkpoint first to make recent work durable).
 func (s *BlockStore) Close() error { return s.inner.Close() }

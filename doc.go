@@ -108,18 +108,20 @@
 //
 // BlockStoreDir takes that contract to real media: the store keeps a
 // file-backed payload arena, whose checkpoint sync writes back only the
-// pages dirtied since the previous one, plus a crc64-framed write-ahead log of every placement,
-// and OpenBlockStore recovers a directory by replaying the log to the
-// last durable checkpoint — truncating any torn tail — and verifying
-// each surviving block's checksum against the arena image. Since the
-// log already is the durable translation map, a durable checkpoint
-// costs its two syncs plus O(1) bookkeeping, and replay is O(records);
-// only in-memory stores keep a shadow map and per-cell owner stamps,
-// because their Recover reads them:
+// pages written since the previous one (reads write nothing back), plus
+// a crc64-framed write-ahead log of every placement, and
+// OpenBlockStore recovers a directory by replaying the log to the last
+// durable checkpoint — truncating any torn tail — and verifying each
+// surviving block's checksum against the arena image. A checkpoint
+// appends its record, then syncs the log and the arena in parallel.
+// Since the log already is the durable translation map, a durable
+// checkpoint costs one round of those two syncs plus O(1) bookkeeping,
+// and replay is O(records); only in-memory stores keep a shadow map and
+// per-cell owner stamps, because their Recover reads them:
 //
 //	s, _ := realloc.NewBlockStore(realloc.BlockStoreDir(dir))
 //	s.Put("root", pageBytes)
-//	s.Checkpoint()                      // arena sync + WAL record + group-fsync
+//	s.Checkpoint()                      // WAL record, then WAL and arena syncs in parallel
 //	s.Close()
 //
 //	s, rep, _ := realloc.OpenBlockStore(realloc.BlockStoreDir(dir))
@@ -130,10 +132,13 @@
 // since the last checkpoint is never rewritten before the next one
 // completes, so the extents a durable checkpoint references stay
 // byte-identical in the arena image until a newer checkpoint is itself
-// durable. A crashmonkey-style harness (internal/btl) kills the store
-// at every enumerated media write and fsync — plus randomized
-// multi-fault schedules: torn writes, dropped fsyncs, transient EIO —
-// and proves recovery lands on a durable checkpoint every time.
+// durable. A crash that lands the last checkpoint's record but not all
+// of its arena pages fails that checkpoint's checksums, and recovery
+// falls back to the one before it (rep.FellBack), never further. A
+// crashmonkey-style harness (internal/btl) kills the store at every
+// enumerated media write and fsync — plus randomized multi-fault
+// schedules: torn writes, dropped fsyncs, transient EIO — and proves
+// recovery lands on a durable checkpoint every time.
 //
 // # Concurrency and sharding
 //
@@ -191,8 +196,10 @@
 // AppendShardVolumes, ReadSnapshot, and ReadStats over their allocating
 // counterparts. BenchmarkShardedParallel (run with -cpu 1,2,4,8) and
 // experiment E15 measure the cores→throughput curves; CI enforces the
-// mixed-workload scaling gate via cmd/benchgate -scaling and persists
-// the curve in a BENCH_ci_scaling.json trajectory record per run.
+// mixed-workload scaling gate via cmd/benchgate -scaling and uploads
+// each run's curve as a BENCH_ci_scaling.json artifact. No record is
+// committed: a curve means something only from a machine with as many
+// hardware threads as the sweep's largest -cpu value.
 //
 // A WithObserver callback on a sharded reallocator runs while the
 // emitting shard's write lock is held (both shard locks for migration

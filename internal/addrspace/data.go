@@ -67,6 +67,8 @@ func (s *Space) WriteData(id ID, p []byte) error {
 
 // ReadData copies object id's payload into p, starting at the object's
 // first cell, and returns how many bytes were copied: min(len(p), size).
+// It reads through the backend's View, so a file backend writes nothing
+// back for it.
 func (s *Space) ReadData(id ID, p []byte) (int, error) {
 	ext, ok := s.Extent(id)
 	if !ok {
@@ -79,15 +81,16 @@ func (s *Space) ReadData(id ID, p []byte) (int, error) {
 	if n > ext.Size {
 		n = ext.Size
 	}
-	copy(p[:n], s.data.Bytes(ext.Start, n))
+	copy(p[:n], s.data.View(ext.Start, n))
 	return int(n), nil
 }
 
 // DataBytes returns the live byte slice of object id's payload: the
 // object's full extent, aliasing backend memory. The slice is valid only
 // until the next operation that can move objects or grow the backend.
-// It returns false for unknown objects and spaces without a real
-// backend.
+// It is writable, so a file backend writes its pages back at the next
+// Sync; read-only callers use ReadData. It returns false for unknown
+// objects and spaces without a real backend.
 func (s *Space) DataBytes(id ID) ([]byte, bool) {
 	ext, ok := s.Extent(id)
 	if !ok || !s.HasData() {

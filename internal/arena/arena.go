@@ -30,11 +30,11 @@ import (
 )
 
 // ErrClosed is the use-after-Close sentinel. Payload access on a
-// closed backend panics with this value (Copy and Bytes sit on the
-// relocation hot path and have no error returns — a closed arena there
-// is a lifecycle bug, and a sentinel panic beats the opaque nil-index
-// or SIGSEGV it would otherwise decay to); Sync, which is on an error
-// path anyway, returns it.
+// closed backend panics with this value (Copy, Bytes and View sit on
+// the relocation and read hot paths and have no error returns — a
+// closed arena there is a lifecycle bug, and a sentinel panic beats the
+// opaque nil-index or SIGSEGV it would otherwise decay to); Sync, which
+// is on an error path anyway, returns it.
 var ErrClosed = errors.New("arena: use after Close")
 
 // Kind names a backend implementation.
@@ -116,8 +116,16 @@ type Backend interface {
 	// Bytes returns the live byte slice for [start, start+size),
 	// growing the store as needed. The slice aliases backend memory
 	// and is invalidated by the next operation that can grow or
-	// relocate the store. Nil for backends that are not Real.
+	// relocate the store. Nil for backends that are not Real. The
+	// slice is writable, so the file backend counts the range as
+	// written.
 	Bytes(start, size int64) []byte
+	// View is Bytes for reading: the same slice, but it neither grows
+	// the store (the range must be addressable already, as every
+	// placed extent is) nor counts as a write, so the caller must not
+	// write through it — the file backend would never write those
+	// bytes back.
+	View(start, size int64) []byte
 	// Counters returns the cumulative cost accounting.
 	Counters() Counters
 	// Sync flushes payload bytes to durable media: the file backend
@@ -173,6 +181,12 @@ func (m *metered) Bytes(start, size int64) []byte {
 	}
 	return nil
 }
+func (m *metered) View(start, size int64) []byte {
+	if m.closed {
+		panic(ErrClosed)
+	}
+	return nil
+}
 func (m *metered) Counters() Counters { return m.c }
 func (m *metered) Sync() error {
 	if m.closed {
@@ -223,6 +237,13 @@ func (h *heap) Copy(dst, src, size int64) {
 
 func (h *heap) Bytes(start, size int64) []byte {
 	h.Ensure(start + size)
+	return h.mem[start : start+size : start+size]
+}
+
+func (h *heap) View(start, size int64) []byte {
+	if h.closed {
+		panic(ErrClosed)
+	}
 	return h.mem[start : start+size : start+size]
 }
 

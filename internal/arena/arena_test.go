@@ -59,12 +59,13 @@ func TestCopyCounting(t *testing.T) {
 }
 
 // TestPayloadRoundTrip: bytes written through Bytes survive a chain of
-// copies, including self-overlapping ones (memmove semantics).
+// copies, including self-overlapping ones (memmove semantics), and View
+// reads what Bytes reads.
 func TestPayloadRoundTrip(t *testing.T) {
 	for name, b := range backends(t) {
 		if !b.Real() {
-			if b.Bytes(0, 8) != nil {
-				t.Errorf("%s: metered Bytes must be nil", name)
+			if b.Bytes(0, 8) != nil || b.View(0, 8) != nil {
+				t.Errorf("%s: metered Bytes and View must be nil", name)
 			}
 			continue
 		}
@@ -76,6 +77,9 @@ func TestPayloadRoundTrip(t *testing.T) {
 		b.Copy(499, 495, n) // overlap right by 4
 		if got := b.Bytes(499, n); !bytes.Equal(got, payload) {
 			t.Errorf("%s: payload corrupted: %q", name, got)
+		}
+		if got := b.View(499, n); !bytes.Equal(got, payload) {
+			t.Errorf("%s: View read %q", name, got)
 		}
 		if err := b.Close(); err != nil {
 			t.Errorf("%s: Close: %v", name, err)
@@ -135,6 +139,7 @@ func TestErrClosed(t *testing.T) {
 			"Ensure": func() { b.Ensure(8) },
 			"Copy":   func() { b.Copy(8, 0, 8) },
 			"Bytes":  func() { b.Bytes(0, 8) },
+			"View":   func() { b.View(0, 8) },
 		} {
 			func() {
 				defer func() {
@@ -404,8 +409,8 @@ func (c *countingFile) Sync() error {
 }
 
 // TestSyncWritesOnlyDirtyPages: after a Sync, the next Sync writes back
-// only the pages touched since — one run per maximal dirty run — and a
-// failed Sync keeps them dirty.
+// only the pages touched since — one run per maximal dirty run; reads
+// through View touch none — and a failed Sync keeps them dirty.
 func TestSyncWritesOnlyDirtyPages(t *testing.T) {
 	f, err := faultfs.NewMemFS(nil).OpenFile("arena")
 	if err != nil {
@@ -443,6 +448,11 @@ func TestSyncWritesOnlyDirtyPages(t *testing.T) {
 	b.Copy(8*pageSize-6, 0, 12)            // straddles pages 7 and 8
 	copy(b.Bytes(12*pageSize+1, 3), "xyz") // page 12
 	check("two runs", [][2]int64{{7 * pageSize, 2 * pageSize}, {12 * pageSize, pageSize}})
+	if got := string(b.View(12*pageSize+1, 3)); got != "xyz" {
+		t.Fatalf("View read %q, want %q", got, "xyz")
+	}
+	_ = b.View(0, 16*pageSize)
+	check("reads only", nil)
 
 	b.Copy(3*pageSize, 0, 12)
 	cf.failSync = true

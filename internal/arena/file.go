@@ -31,7 +31,8 @@ type fileArena struct {
 	size, fileLen int64
 	// dirty holds one bit per page written since the last successful
 	// Sync: Copy marks its destination, Bytes its range (the slice it
-	// returns is writable).
+	// returns is writable). View is the in-memory image's own and
+	// marks nothing, so reads cost no write-back.
 	dirty  []uint64
 	closed bool
 }

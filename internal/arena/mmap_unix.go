@@ -86,6 +86,13 @@ func (a *mmapArena) Bytes(start, size int64) []byte {
 	return a.mem[start : start+size : start+size]
 }
 
+func (a *mmapArena) View(start, size int64) []byte {
+	if a.closed {
+		panic(ErrClosed)
+	}
+	return a.mem[start : start+size : start+size]
+}
+
 func (a *mmapArena) Counters() Counters { return a.c }
 
 func (a *mmapArena) Sync() error {

@@ -19,7 +19,7 @@
 // replays the log and verifies the surviving arena bytes instead of
 // reading any in-memory state. Durable stores therefore keep neither
 // the shadow map nor per-cell owner stamps: a durable checkpoint costs
-// its two syncs plus O(1) bookkeeping.
+// one round of two parallel syncs plus O(1) bookkeeping.
 package btl
 
 import (
@@ -322,7 +322,9 @@ func (s *Store) Put(name string, data []byte) error {
 }
 
 // Get returns a copy of block name's payload bytes. It fails unless the
-// block was written through the bytes-taking Put on a real backend.
+// block was written through the bytes-taking Put on a real backend. It
+// reads through the arena's read-only view, so it leaves nothing for
+// the next checkpoint to write back.
 func (s *Store) Get(name string) ([]byte, error) {
 	if err := s.opErr(); err != nil {
 		return nil, err
@@ -331,15 +333,13 @@ func (s *Store) Get(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	raw, ok := s.realloc.Bytes(id)
-	if !ok {
-		// Bytes fails only where Read does; let Read name the cause
-		// (ErrNoData without a real backend).
-		_, err := s.realloc.Read(id, nil)
-		return nil, err
+	sp := s.realloc.Space()
+	if !sp.HasData() {
+		return nil, addrspace.ErrNoData
 	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
+	ext, _ := sp.Extent(id)
+	out := make([]byte, ext.Size)
+	copy(out, sp.Data().View(ext.Start, ext.Size))
 	return out, nil
 }
 
@@ -405,8 +405,8 @@ func (s *Store) Lookup(name string) (addrspace.Extent, bool) {
 
 // Checkpoint writes the translation map durably and makes all freed space
 // reusable (the system-initiated checkpoint of Section 3.1). In durable
-// mode this is the fsync point: the arena is synced to media, then the
-// checkpoint record is appended and the WAL group-fsynced.
+// mode this is the fsync point: the checkpoint record is appended, then
+// the WAL and the arena are synced in parallel (see snapshot).
 func (s *Store) Checkpoint() {
 	if s.crashed || s.ioErr != nil {
 		return
@@ -418,19 +418,25 @@ func (s *Store) Checkpoint() {
 // snapshot makes the translation map durable at a checkpoint instant.
 // An in-memory store copies it into the shadow map its Recover reads.
 // A durable store's WAL already holds every placement, so it runs only
-// the media protocol — two syncs, no walk of the live blocks — in this
-// exact order:
+// the media protocol — one sync round, no walk of the live blocks:
 //
-//  1. arena sync — every checkpointed extent's bytes become durable;
-//  2. checkpoint record appended to the WAL;
-//  3. WAL group-fsync — the buffered event records plus the marker
-//     become durable together.
+//  1. the checkpoint record is appended to the WAL buffer;
+//  2. two legs run in parallel (faultfs.FS.Both) and both finish:
+//     the WAL group-fsync (the buffered event records plus the marker
+//     become durable together) and the arena sync (the pages dirtied
+//     since the last checkpoint are written back and fsynced);
+//  3. errors.Join of the two legs is latched as the sticky error.
 //
-// If the crash falls between 1 and 3, replay lands on the previous
-// checkpoint, whose extents are still intact in the newer arena image:
-// the substrate's checkpoint rule kept every extent of checkpoint N
-// byte-identical until the N+1 event, so an arena image taken at the
-// N+1 instant (even a torn prefix of one) still verifies at N.
+// A crash can land either leg without the other. Neither loses a
+// durable state, because no write happens while the legs run and the
+// substrate's checkpoint rule kept every extent of checkpoint N-1
+// byte-identical until this checkpoint N completes:
+//
+//   - arena durable, marker lost: replay lands on N-1, whose extents
+//     still verify in the newer arena image (even a torn prefix of it);
+//   - marker durable, arena lost: replay finds N, whose moved extents
+//     fail their checksums, and recovery falls back to N-1, which
+//     verifies for the same reason (see recoverFromMedia).
 func (s *Store) snapshot() {
 	s.checkpoints++
 	if s.fs == nil {
@@ -450,16 +456,12 @@ func (s *Store) snapshot() {
 	if s.w == nil || s.ioErr != nil || s.rebuilding {
 		return
 	}
-	if err := s.data.Sync(); err != nil {
-		s.ioErr = err
-		return
-	}
 	s.seq++
 	s.logWAL(wal.Record{Kind: wal.KCheckpoint, Seq: s.seq, ID: s.gen})
 	if s.ioErr != nil {
 		return
 	}
-	if err := s.w.Sync(); err != nil {
+	if err := s.fs.Both(s.w.Sync, s.data.Sync); err != nil {
 		s.ioErr = err
 	}
 }
@@ -492,11 +494,18 @@ type RecoveryReport struct {
 	// bug.
 	Corrupt []string
 	// Seq is the checkpoint sequence the store recovered to (durable
-	// mode only: the last checkpoint whose WAL record survived).
+	// mode only: the last checkpoint whose WAL record survived, or the
+	// one before it when FellBack is set).
 	Seq uint64
-	// WALTail counts valid WAL records after that checkpoint — work the
-	// store did but never made durable (durable mode only).
+	// WALTail counts valid WAL records after the last checkpoint
+	// marker — work the store did but never made durable (durable mode
+	// only).
 	WALTail int
+	// FellBack reports that the last checkpoint's marker was durable
+	// but its arena image failed verification (the crash cut its arena
+	// leg short), so the store recovered to the checkpoint before it
+	// (durable mode only). Recovery never falls back further.
+	FellBack bool
 }
 
 // Recover rebuilds the store after a crash. Without a crash it fails
@@ -504,13 +513,14 @@ type RecoveryReport struct {
 //
 // In durable mode it reads the real media: the WAL is replayed to the
 // last durable checkpoint and every surviving block is verified against
-// the arena file (see recoverFromMedia). In-memory mode verifies every
-// durable block's data is intact at its mapped extent of the crashed
-// arena (possible precisely because space freed since that checkpoint
-// was never rewritten) — on a real backend by checksumming the raw
-// surviving cells against the sum recorded at Put — then reloads the
-// blocks, payloads included, into a fresh reallocator over a fresh
-// arena.
+// the arena file, falling back one checkpoint when the last one's arena
+// pages never became durable (see recoverFromMedia). In-memory mode
+// verifies every durable block's data is intact at its mapped extent of
+// the crashed arena (possible precisely because space freed since that
+// checkpoint was never rewritten) — on a real backend by checksumming
+// the raw surviving cells against the sum recorded at Put — then
+// reloads the blocks, payloads included, into a fresh reallocator over
+// a fresh arena.
 func (s *Store) Recover() (RecoveryReport, error) {
 	if !s.crashed {
 		return RecoveryReport{}, ErrNotCrashed
@@ -529,7 +539,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		// crashed arena must still hash to the checksum recorded when the
 		// block was written — the checkpoint rule is what makes this hold.
 		if meta.hasSum && old.HasData() {
-			raw := old.Data().Bytes(meta.ext.Start, meta.ext.Size)
+			raw := old.Data().View(meta.ext.Start, meta.ext.Size)
 			if crc64.Checksum(raw, crcTable) != meta.sum {
 				rep.Corrupt = append(rep.Corrupt, name)
 			}
@@ -568,7 +578,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 			// Carry the payload across: read from the crashed arena at the
 			// durable address, write at wherever the fresh core placed the
 			// block. Later flushes keep it attached to the block.
-			raw := old.Data().Bytes(meta.ext.Start, meta.ext.Size)
+			raw := old.Data().View(meta.ext.Start, meta.ext.Size)
 			if err := fresh.Write(meta.id, raw); err != nil {
 				return rep, err
 			}
@@ -616,7 +626,7 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("btl: block %q has no extent", name)
 		}
 		if sum, ok := s.sums[id]; ok && s.realloc.Space().HasData() {
-			raw := s.realloc.Space().Data().Bytes(ext.Start, ext.Size)
+			raw := s.realloc.Space().Data().View(ext.Start, ext.Size)
 			if crc64.Checksum(raw, crcTable) != sum {
 				return fmt.Errorf("btl: block %q fails its checksum at %v", name, ext)
 			}

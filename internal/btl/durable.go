@@ -5,23 +5,28 @@
 //     event stream (insert/move/delete), payload checksums, and
 //     checkpoint markers (see internal/wal);
 //   - arena.<gen>.img — the payload arena, held in memory and synced
-//     to media at every checkpoint by writing back the pages dirtied
+//     to media at every checkpoint by writing back the pages written
 //     since the previous one (internal/arena). The generation counter
-//     exists so recovery never writes the image a durable checkpoint
-//     still references: each recovery rebuilds into arena.<gen+1>.img,
-//     and only after the new image and the WAL checkpoint record naming
-//     it are durable is the old generation removed. A crash at ANY
-//     point of recovery therefore replays the old WAL against the old,
-//     untouched image.
+//     exists so recovery never writes an image a checkpoint record in
+//     the log still names: each recovery rebuilds into a generation one
+//     past the log's last record, and only after the new image and the
+//     WAL checkpoint record naming it are both durable is the old
+//     generation removed. A crash at ANY point of recovery therefore
+//     replays the old WAL against the old, untouched image.
 //
 // Both files are made durable in the directory (FS.SyncDir) as soon as
 // they are created, before any checkpoint record can name them: after a
 // power loss a new file's entry can otherwise vanish while the WAL that
 // names it survives.
 //
-// Checkpoint protocol (snapshot in btl.go): arena sync, then checkpoint
-// record, then WAL group-fsync. Replay order is event order because the
-// WAL hook logs the trace events themselves.
+// Checkpoint protocol (snapshot in btl.go): append the checkpoint
+// record, then run the WAL group-fsync and the arena sync in parallel
+// (faultfs.FS.Both) and wait for both. A crash can therefore leave the
+// record durable without all of the arena pages; recovery then finds
+// the last checkpoint's blocks failing their checksums and falls back
+// to the checkpoint before it, which the checkpoint rule kept intact
+// (recoverFromMedia). Replay order is event order because the WAL hook
+// logs the trace events themselves.
 package btl
 
 import (
@@ -122,24 +127,30 @@ func (s *Store) newWriter(off int64) *wal.Writer {
 // recoverFromMedia is the durable recovery path, crash-safe at every
 // step:
 //
-//  1. Replay the WAL (truncating any torn/corrupt tail) to the last
-//     durable checkpoint: block table, sequence number, and the arena
-//     generation that checkpoint's extents refer to.
-//  2. Verify: every replayed block with a checksum must hash to it at
-//     its extent of that arena image. Any mismatch aborts recovery —
-//     while the checkpoint rule holds, there are none.
-//  3. Cut the WAL back to the checkpoint marker (the tail records
-//     describe volatile work the re-log below must not collide with).
-//  4. Rebuild into the NEXT arena generation: fresh core, blocks
-//     re-inserted in id order, payloads rewritten, every placement
-//     re-logged through the normal WAL hook.
-//  5. Checkpoint: the new arena image is synced, then a checkpoint
-//     record naming the new generation is appended and fsynced. Only
-//     now does the durable state reference the new image.
+//  1. Replay the WAL (truncating any torn/corrupt tail): the block
+//     tables at the last two durable checkpoints, with their sequence
+//     numbers and the arena generations their extents refer to.
+//  2. Verify the last checkpoint: every block with a checksum must hash
+//     to it at its extent of that arena image. A checkpoint's WAL and
+//     arena legs run in parallel, so its marker can be durable while
+//     its arena pages are not; its moved extents then fail. In that
+//     case fall back to the checkpoint before it, and verify that one
+//     the same way. The checkpoint rule keeps it intact in the newer
+//     image (see snapshot). Never go further back: a mismatch there
+//     aborts recovery, and while the rule holds there is none.
+//  3. Cut the WAL back to the chosen checkpoint's marker (the records
+//     after it describe work the re-log below must not collide with).
+//  4. Rebuild into a generation no marker in the log names: fresh
+//     core, blocks re-inserted in id order, payloads rewritten, every
+//     placement re-logged through the normal WAL hook.
+//  5. Checkpoint: a record naming the new generation is appended, then
+//     the WAL and the new arena image are synced. Only once both legs
+//     return does the durable state reference the new image alone.
 //  6. Old arena generations are removed.
 //
-// A crash before 5 completes leaves the old WAL prefix + old arena
-// image fully intact, so the next recovery replays the same state.
+// A crash before 5 completes leaves the chosen checkpoint's WAL prefix
+// and arena image intact: if 5's marker survived without its arena
+// pages, the next recovery falls back to that same checkpoint.
 func (s *Store) recoverFromMedia() (RecoveryReport, error) {
 	t0 := time.Now()
 	var rep RecoveryReport
@@ -164,71 +175,46 @@ func (s *Store) recoverFromMedia() (RecoveryReport, error) {
 		walF.Close()
 		return rep, fmt.Errorf("btl: replay wal: %w", err)
 	}
-	rep.Seq = rp.Seq
 	rep.WALTail = rp.Tail
-	oldGen := rp.CkptID
-
-	// Verify and load the surviving payloads from the checkpointed
-	// arena image.
-	type survivor struct {
-		id   uint64
-		b    wal.Block
-		data []byte
+	ck := rp.Checkpoint
+	survivors, corrupt, err := s.verify(ck)
+	if err == nil && len(corrupt) > 0 {
+		// The last checkpoint's arena leg never completed: fall back
+		// to the one before it, and no further.
+		ck = rp.Prev
+		rep.FellBack = true
+		survivors, corrupt, err = s.verify(ck)
 	}
-	survivors := make([]survivor, 0, len(rp.Blocks))
-	if len(rp.Blocks) > 0 {
-		arF, err := s.fs.OpenFile(arenaFileName(oldGen))
-		if err != nil {
-			walF.Close()
-			return rep, fmt.Errorf("btl: open arena image: %w", err)
-		}
-		asz, err := arF.Size()
-		if err != nil {
-			arF.Close()
-			walF.Close()
-			return rep, fmt.Errorf("btl: arena image size: %w", err)
-		}
-		for id, b := range rp.Blocks {
-			if b.Start < 0 || b.Size < 0 || b.Start+b.Size > asz {
-				rep.Corrupt = append(rep.Corrupt, b.Name)
-				continue
-			}
-			buf := make([]byte, b.Size)
-			if b.Size > 0 {
-				if n, err := arF.ReadAt(buf, b.Start); err != nil && !(errors.Is(err, io.EOF) && int64(n) == b.Size) {
-					rep.Corrupt = append(rep.Corrupt, b.Name)
-					continue
-				}
-			}
-			if b.HasSum && crc64.Checksum(buf, crcTable) != b.Sum {
-				rep.Corrupt = append(rep.Corrupt, b.Name)
-				continue
-			}
-			survivors = append(survivors, survivor{id: id, b: b, data: buf})
-		}
-		arF.Close()
-		if len(rep.Corrupt) > 0 {
-			walF.Close()
-			sort.Strings(rep.Corrupt)
-			return rep, fmt.Errorf("btl: %d blocks corrupted after crash", len(rep.Corrupt))
-		}
+	rep.Seq = ck.Seq
+	if err == nil && len(corrupt) > 0 {
+		rep.Corrupt = corrupt
+		err = fmt.Errorf("btl: %d blocks corrupted after crash", len(corrupt))
+	}
+	if err != nil {
+		walF.Close()
+		return rep, err
 	}
 
-	// Cut the WAL back to the last durable checkpoint and resume
-	// appending there. (Still crash-safe: the records being discarded
-	// are exactly the ones replay already ignores.)
-	if err := walF.Truncate(rp.CkptEnd); err != nil {
+	// Cut the WAL back to the chosen checkpoint and resume appending
+	// there. (Still crash-safe: the records being discarded are the
+	// ones replay ignores, plus, after a fallback, a last marker whose
+	// image fails verification whether or not the cut survives.)
+	if err := walF.Truncate(ck.CkptEnd); err != nil {
 		walF.Close()
 		return rep, fmt.Errorf("btl: truncate wal tail: %w", err)
 	}
 	s.walF = walF
-	s.w = s.newWriter(rp.CkptEnd)
-	s.seq = rp.Seq
-	s.gen = oldGen + 1
+	s.w = s.newWriter(ck.CkptEnd)
+	s.seq = ck.Seq
+	// Generations only grow along the log, so the last marker names the
+	// newest; a fallback must not rebuild over the image it abandoned
+	// while that marker may still be durable.
+	s.gen = rp.CkptID + 1
 	s.ioErr = nil
 
-	// Rebuild into the next generation; the old image stays untouched
-	// until the checkpoint below makes the new one authoritative.
+	// Rebuild into the new generation; the chosen checkpoint's image
+	// stays untouched until the checkpoint below makes the new one
+	// authoritative.
 	data, err := s.newArenaBackend()
 	if err != nil {
 		return rep, fmt.Errorf("btl: create arena generation %d: %w", s.gen, err)
@@ -297,7 +283,9 @@ func (s *Store) recoverFromMedia() (RecoveryReport, error) {
 		return rep, fmt.Errorf("btl: recovery checkpoint: %w", s.ioErr)
 	}
 
-	// The durable state now references generation s.gen only; reap the
+	// Both legs of the recovery checkpoint returned, so its marker
+	// verifies and any later fallback lands on it or after it: no
+	// recovery can name an older generation any more. Reap the
 	// predecessors (a bounded sweep — crash-interrupted recoveries can
 	// leave more than one behind).
 	for g := s.gen; g > 0 && g+8 >= s.gen; g-- {
@@ -311,4 +299,52 @@ func (s *Store) recoverFromMedia() (RecoveryReport, error) {
 		s.tel.Recovery.Record(time.Since(t0).Nanoseconds())
 	}
 	return rep, nil
+}
+
+// survivor is one verified block of the checkpoint recovery rebuilds.
+type survivor struct {
+	id   uint64
+	b    wal.Block
+	data []byte
+}
+
+// verify loads checkpoint ck's blocks from the arena image its marker
+// names and checks each checksummed payload. It returns the blocks
+// that verify and the names of those that do not, sorted; the error is
+// for media that cannot be read at all.
+func (s *Store) verify(ck wal.Checkpoint) ([]survivor, []string, error) {
+	if len(ck.Blocks) == 0 {
+		return nil, nil, nil
+	}
+	arF, err := s.fs.OpenFile(arenaFileName(ck.CkptID))
+	if err != nil {
+		return nil, nil, fmt.Errorf("btl: open arena image: %w", err)
+	}
+	defer arF.Close()
+	asz, err := arF.Size()
+	if err != nil {
+		return nil, nil, fmt.Errorf("btl: arena image size: %w", err)
+	}
+	survivors := make([]survivor, 0, len(ck.Blocks))
+	var corrupt []string
+	for id, b := range ck.Blocks {
+		if b.Start < 0 || b.Size < 0 || b.Start+b.Size > asz {
+			corrupt = append(corrupt, b.Name)
+			continue
+		}
+		buf := make([]byte, b.Size)
+		if b.Size > 0 {
+			if n, err := arF.ReadAt(buf, b.Start); err != nil && !(errors.Is(err, io.EOF) && int64(n) == b.Size) {
+				corrupt = append(corrupt, b.Name)
+				continue
+			}
+		}
+		if b.HasSum && crc64.Checksum(buf, crcTable) != b.Sum {
+			corrupt = append(corrupt, b.Name)
+			continue
+		}
+		survivors = append(survivors, survivor{id: id, b: b, data: buf})
+	}
+	sort.Strings(corrupt)
+	return survivors, corrupt, nil
 }

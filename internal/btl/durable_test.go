@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"realloc/internal/faultfs"
@@ -358,4 +359,72 @@ func TestDurableDeamortizedVariant(t *testing.T) {
 		t.Fatalf("recovered %d", rep.Recovered)
 	}
 	_ = s2.Close()
+}
+
+// arenaWriteCounter is a MemFS whose arena image handles count their
+// writes: one per dirty run a Sync writes back.
+type arenaWriteCounter struct {
+	*faultfs.MemFS
+	writes int
+}
+
+func (c *arenaWriteCounter) OpenFile(name string) (faultfs.File, error) {
+	f, err := c.MemFS.OpenFile(name)
+	if err != nil || !strings.HasPrefix(name, "arena.") {
+		return f, err
+	}
+	return countedFile{File: f, writes: &c.writes}, nil
+}
+
+type countedFile struct {
+	faultfs.File
+	writes *int
+}
+
+func (f countedFile) WriteAt(p []byte, off int64) (int, error) {
+	*f.writes++
+	return f.File.WriteAt(p, off)
+}
+
+// TestDurableGetWritesNothingBack: Get and CheckInvariants read through
+// the arena's read-only view, so a checkpoint after nothing but reads
+// writes no arena page; one Put makes the next checkpoint write again.
+func TestDurableGetWritesNothingBack(t *testing.T) {
+	fs := &arenaWriteCounter{MemFS: faultfs.NewMemFS(nil)}
+	s, err := New(Config{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("g%02d", i)
+		if err := s.Put(name, payload(name, 100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Checkpoint()
+	fs.writes = 0
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("g%02d", i)
+		if got, err := s.Get(name); err != nil || !bytes.Equal(got, payload(name, 100+i)) {
+			t.Fatalf("get %q: %v", name, err)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s.Checkpoint()
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.writes != 0 {
+		t.Fatalf("a checkpoint after only reads wrote %d arena runs, want 0", fs.writes)
+	}
+	if err := s.Put("new", payload("new", 10)); err != nil {
+		t.Fatal(err)
+	}
+	s.Checkpoint()
+	if fs.writes == 0 {
+		t.Fatal("a checkpoint after a Put wrote no arena page")
+	}
 }

@@ -32,7 +32,10 @@
 //
 // Write and sync counters are global across a MemFS's files, so a plan
 // addresses the interleaved stream the store actually emits, and plans
-// derived from a seed (RandomPlan) are reproducible byte for byte.
+// derived from a seed (RandomPlan) are reproducible byte for byte. The
+// one place the store overlaps I/O, a checkpoint's two sync legs, goes
+// through FS.Both: concurrent on OS, in a fixed order on MemFS, so the
+// stream stays reproducible there too.
 package faultfs
 
 import (
@@ -80,6 +83,12 @@ type FS interface {
 	// SyncDir makes the directory durable: every file created so far
 	// survives a crash (its contents only as far as its own Syncs).
 	SyncDir() error
+	// Both runs two independent I/O legs — the block store's WAL
+	// fsync and its arena write-back — to completion and returns
+	// errors.Join of their errors. OS runs them concurrently. MemFS
+	// runs first, then second, whatever first returned, so a fault
+	// plan's write and sync ordinals do not depend on scheduling.
+	Both(first, second func() error) error
 }
 
 // ---------------------------------------------------------------------
@@ -126,6 +135,18 @@ func (o OS) SyncDir() error {
 		return err
 	}
 	return d.Close()
+}
+
+// Both runs first on its own goroutine while second runs on the
+// caller's, and returns once both have. The block store passes its
+// longer leg, the arena's, second: the caller then seldom finishes
+// first and parks, so it seldom resumes on another thread with cold
+// caches.
+func (OS) Both(first, second func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- first() }()
+	err := second()
+	return errors.Join(<-done, err)
 }
 
 // osFile adapts *os.File, mapping short reads at EOF to the full-buffer
@@ -424,6 +445,15 @@ func (fs *MemFS) SyncDir() error {
 		d.linked = true
 	}
 	return nil
+}
+
+// Both runs first, then second. The fixed order keeps the Injector's
+// ordinals reproducible; it is one of the interleavings OS allows, and
+// the one that leaves the store's checkpoint marker durable before any
+// of its arena pages.
+func (fs *MemFS) Both(first, second func() error) error {
+	err := first()
+	return errors.Join(err, second())
 }
 
 // OpenFile opens (or creates) the named file. The handle is bound to

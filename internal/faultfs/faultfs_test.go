@@ -323,3 +323,39 @@ func TestNoSpace(t *testing.T) {
 		t.Fatalf("fired %d faults, want 1", got)
 	}
 }
+
+// TestBothRunsEveryLeg: Both runs both legs even when the first fails
+// and joins their errors; OS runs them on two goroutines (the race
+// detector sees this test). MemFS runs them first-then-second, so the
+// Injector addresses the second leg's write by a fixed ordinal.
+func TestBothRunsEveryLeg(t *testing.T) {
+	errA, errB := errors.New("a"), errors.New("b")
+	for name, fs := range map[string]FS{"memfs": NewMemFS(nil), "os": OS{Dir: t.TempDir()}} {
+		ran := [2]bool{}
+		err := fs.Both(func() error { ran[0] = true; return errA }, func() error { ran[1] = true; return errB })
+		if !ran[0] || !ran[1] || !errors.Is(err, errA) || !errors.Is(err, errB) {
+			t.Fatalf("%s: ran %v, err %v; want both legs run and both errors joined", name, ran, err)
+		}
+		if err := fs.Both(func() error { return nil }, func() error { return nil }); err != nil {
+			t.Fatalf("%s: two clean legs returned %v", name, err)
+		}
+	}
+
+	fs := NewMemFS(NewInjector(Fault{Kind: CrashAtWrite, N: 2}))
+	leg := func(name string) func() error {
+		f, _ := fs.OpenFile(name)
+		return func() error {
+			if _, err := f.WriteAt([]byte(name), 0); err != nil {
+				return err
+			}
+			return f.Sync()
+		}
+	}
+	if err := fs.Both(leg("first"), leg("second")); !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("crash at the second leg's write: %v", err)
+	}
+	if fs.DurableLen("first") != 5 || fs.DurableLen("second") != 0 {
+		t.Fatalf("durable lengths %d and %d, want the first leg durable and the second not",
+			fs.DurableLen("first"), fs.DurableLen("second"))
+	}
+}

@@ -11,8 +11,9 @@ import (
 
 // naiveReplay is the reference replay Open must agree with: apply every
 // record to one table and copy the whole table at each checkpoint
-// marker (O(checkpoints × live)). It reads an in-memory image and
-// reports what Open reports, without touching a file.
+// marker (O(checkpoints × live)), keeping the copies at the last two
+// markers. It reads an in-memory image and reports what Open reports,
+// without touching a file.
 func naiveReplay(data []byte) Replay {
 	var rep Replay
 	cur := map[uint64]Block{}
@@ -63,6 +64,7 @@ scan:
 			for id, b := range cur {
 				snap[id] = b
 			}
+			rep.Prev = rep.Checkpoint
 			rep.Blocks = snap
 			rep.Seq = r.Seq
 			rep.CkptID = r.ID
@@ -130,7 +132,8 @@ func randomLog(t *testing.T, rng *rand.Rand, n int, semantic bool) []byte {
 
 // TestReplayMatchesNaive checks Open against the naive replay on
 // randomized logs with many checkpoints, torn tails, flipped bits and
-// semantic corruption: every field of the result must agree.
+// semantic corruption: every field of the result must agree, the
+// second-latest checkpoint's table included.
 func TestReplayMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 0x7e1a))
 	for trial := 0; trial < 300; trial++ {
@@ -150,7 +153,29 @@ func TestReplayMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(*got, want) {
+		for _, c := range []struct {
+			field     string
+			got, want any
+		}{
+			{"Blocks", got.Blocks, want.Blocks},
+			{"Seq", got.Seq, want.Seq},
+			{"CkptID", got.CkptID, want.CkptID},
+			{"CkptEnd", got.CkptEnd, want.CkptEnd},
+			{"Prev.Blocks", got.Prev.Blocks, want.Prev.Blocks},
+			{"Prev.Seq", got.Prev.Seq, want.Prev.Seq},
+			{"Prev.CkptID", got.Prev.CkptID, want.Prev.CkptID},
+			{"Prev.CkptEnd", got.Prev.CkptEnd, want.Prev.CkptEnd},
+			{"Checkpoints", got.Checkpoints, want.Checkpoints},
+			{"Frames", got.Frames, want.Frames},
+			{"Tail", got.Tail, want.Tail},
+			{"Truncated", got.Truncated, want.Truncated},
+			{"CleanLen", got.CleanLen, want.CleanLen},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("trial %d (%d bytes): %s: Open %+v, naive replay %+v", trial, len(image), c.field, c.got, c.want)
+			}
+		}
+		if !reflect.DeepEqual(*got, want) { // a field the list above misses
 			t.Fatalf("trial %d (%d bytes): Open %+v, naive replay %+v", trial, len(image), *got, want)
 		}
 		if sz, _ := f.Size(); sz != want.CleanLen {

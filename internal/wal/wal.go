@@ -14,11 +14,13 @@
 // paper's model — the instant the translation map is durable).
 //
 // Replay rebuilds the translation table by applying records in order;
-// the result is the table at the LAST durable checkpoint. Records after
-// that marker are the tail: work the store did but never made durable,
+// the result is the table at the LAST durable checkpoint, plus the table
+// at the one before it, which the block layer falls back to when the
+// last checkpoint's arena image never became durable. Records after the
+// last marker are the tail: work the store did but never made durable,
 // reported for observability and otherwise ignored — exactly the blocks
 // the paper says a crash loses. Replay keeps one live table plus an
-// undo log of the records since the latest marker and rolls the tail
+// undo log of the records since the second-latest marker and rolls it
 // back at the end, so it costs O(records), not O(checkpoints × live).
 //
 // The Writer buffers appends and group-fsyncs: WriteAt batches land in
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"maps"
 	"syscall"
 	"time"
 
@@ -329,23 +332,33 @@ type Block struct {
 	HasSum bool
 }
 
+// Checkpoint is the translation table as of one checkpoint marker. The
+// zero value is the start of the log: no blocks, no marker.
+type Checkpoint struct {
+	// Blocks is the table (nil map for the start of the log).
+	Blocks map[uint64]Block
+	// Seq is the marker's sequence number.
+	Seq uint64
+	// CkptID is the marker record's ID field — opaque caller metadata
+	// (the block layer's arena-file generation).
+	CkptID uint64
+	// CkptEnd is the offset just past the marker frame. Recovery
+	// truncates here before re-logging: the records beyond it describe
+	// state the compacted log must not replay twice.
+	CkptEnd int64
+}
+
 // Replay is the outcome of Open: the durable translation table plus
 // the scan's forensics.
 type Replay struct {
-	// Blocks is the table at the last durable checkpoint (nil map when
-	// the log holds no checkpoint).
-	Blocks map[uint64]Block
-	// Seq is the last durable checkpoint's sequence number (0 when no
-	// checkpoint was found).
-	Seq uint64
-	// CkptID is the last durable checkpoint record's ID field — opaque
-	// caller metadata (the block layer's arena-file generation).
-	CkptID uint64
-	// CkptEnd is the offset just past the last durable checkpoint frame
-	// (0 when no checkpoint was found). Log compaction truncates here
-	// before re-logging: the tail records beyond it describe state the
-	// compacted log must not replay twice.
-	CkptEnd int64
+	// Checkpoint is the table at the last durable checkpoint (the zero
+	// Checkpoint when the log holds none).
+	Checkpoint
+	// Prev is the table at the checkpoint before it (the zero
+	// Checkpoint when the log holds fewer than two): what the block
+	// layer recovers to when the last checkpoint's arena image never
+	// became durable.
+	Prev Checkpoint
 	// Checkpoints counts the markers replayed.
 	Checkpoints int
 	// Frames counts valid frames scanned (including the tail).
@@ -371,7 +384,7 @@ type undoEntry struct {
 
 // Open scans the log front to back, validates every frame, truncates
 // the file at the first torn or corrupt frame, and returns the
-// translation table as of the last durable checkpoint.
+// translation tables as of the last two durable checkpoints.
 func Open(f faultfs.File) (*Replay, error) {
 	size, err := f.Size()
 	if err != nil {
@@ -386,7 +399,11 @@ func Open(f faultfs.File) (*Replay, error) {
 
 	rep := &Replay{}
 	cur := map[uint64]Block{}
-	var undo []undoEntry // one entry per record since the latest marker
+	// undo holds one entry per record since the second-latest marker;
+	// those since the latest start at split. Each entry is copied at
+	// most once, when its segment becomes the older one.
+	var undo []undoEntry
+	split := 0
 	var off int64
 	for off < size {
 		rest := data[off:]
@@ -406,10 +423,10 @@ func Open(f faultfs.File) (*Replay, error) {
 			break // structurally invalid — treat as corruption, not fatal
 		}
 		if r.Kind == KCheckpoint {
-			undo = undo[:0]
-			rep.Seq = r.Seq
-			rep.CkptID = r.ID
-			rep.CkptEnd = off + headerSize + plen
+			undo = append(undo[:0], undo[split:]...)
+			split = len(undo)
+			rep.Prev = rep.Checkpoint
+			rep.Checkpoint = Checkpoint{Seq: r.Seq, CkptID: r.ID, CkptEnd: off + headerSize + plen}
 			rep.Checkpoints++
 			rep.Tail = -1 // reset below the per-frame increment
 		} else {
@@ -436,14 +453,12 @@ func Open(f faultfs.File) (*Replay, error) {
 		off += headerSize + plen
 	}
 	if rep.Checkpoints > 0 {
-		for i := len(undo) - 1; i >= 0; i-- {
-			if u := undo[i]; u.ok {
-				cur[u.id] = u.b
-			} else {
-				delete(cur, u.id)
-			}
-		}
+		rollBack(cur, undo[split:])
 		rep.Blocks = cur
+	}
+	if rep.Checkpoints > 1 {
+		rep.Prev.Blocks = maps.Clone(cur)
+		rollBack(rep.Prev.Blocks, undo[:split])
 	}
 	rep.CleanLen = off
 	rep.Truncated = size - off
@@ -453,4 +468,15 @@ func Open(f faultfs.File) (*Replay, error) {
 		}
 	}
 	return rep, nil
+}
+
+// rollBack undoes the given records' effects on table, newest first.
+func rollBack(table map[uint64]Block, undo []undoEntry) {
+	for i := len(undo) - 1; i >= 0; i-- {
+		if u := undo[i]; u.ok {
+			table[u.id] = u.b
+		} else {
+			delete(table, u.id)
+		}
+	}
 }
