@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"realloc"
+	"realloc/internal/telemetry"
 )
 
 // driveChurn replays a deterministic insert/delete churn stream against
@@ -185,89 +186,121 @@ func TestPayloadIntegrityAcrossFlushChunking(t *testing.T) {
 // reallocator with churn on one side and payload reads of stable
 // objects on the other. Reads take only the shard read lock, flushes
 // run under the shard write lock — so under -race this proves readers
-// never observe a torn copy while the flusher memmoves extents.
+// never observe a torn copy while the flusher memmoves extents. In the
+// large lane, stable and churn objects share one 64–128 KiB size class,
+// so flush plans move the stable objects and exceed the substrate's
+// 2 MiB overlap threshold: their copies run on a second goroutine while
+// the flusher commits the index, and the readers check that path. The
+// lane's telemetry proves such a plan ran.
 func TestConcurrentReadDuringFlush(t *testing.T) {
-	s, err := realloc.NewSharded(
-		realloc.WithEpsilon(0.25),
-		realloc.WithShards(4),
-		realloc.WithBackend(realloc.HeapArena),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stable objects with known payloads, spread across shards.
-	const stable = 64
-	payload := func(id int64) []byte {
-		p := make([]byte, 40+id%17)
-		for i := range p {
-			p[i] = byte(uint64(id)*31 + uint64(i))
-		}
-		return p
-	}
-	for id := int64(1); id <= stable; id++ {
-		if err := s.Insert(id, int64(len(payload(id)))); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Write(id, payload(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, 0xace))
-			for !stop.Load() {
-				id := 1 + rng.Int64N(stable)
-				want := payload(id)
+	for _, lane := range []struct {
+		name           string
+		stableSize     int64 // stable payloads are stableSize + id%17 bytes
+		churnMin, span int64 // churn sizes are churnMin + [0, span)
+		ops            int
+		minFlush       int64 // some flush must move at least this much
+	}{
+		{"small", 40, 1, 64, 30000, 0},
+		{"large", 64 << 10, 64 << 10, 64 << 10, 1200, 2 << 20},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			s, err := realloc.NewSharded(
+				realloc.WithEpsilon(0.25),
+				realloc.WithShards(4),
+				realloc.WithBackend(realloc.HeapArena),
+				realloc.WithTelemetry(reg),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Stable objects with known payloads, spread across shards.
+			const stable = 64
+			payload := func(id int64) []byte {
+				p := make([]byte, lane.stableSize+id%17)
+				for i := range p {
+					p[i] = byte(uint64(id)*31 + uint64(i))
+				}
+				return p
+			}
+			for id := int64(1); id <= stable; id++ {
+				if err := s.Insert(id, int64(len(payload(id)))); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Write(id, payload(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewPCG(seed, 0xace))
+					for !stop.Load() {
+						id := 1 + rng.Int64N(stable)
+						want := payload(id)
+						got, ok := s.Bytes(id)
+						if !ok {
+							t.Errorf("id %d vanished", id)
+							return
+						}
+						if !bytes.Equal(got, want) {
+							t.Errorf("id %d: torn or corrupted read", id)
+							return
+						}
+					}
+				}(uint64(w + 1))
+			}
+			// Churn driver: scratch objects come and go around the stable
+			// ones, forcing flushes (and physical moves) on every shard.
+			rng := rand.New(rand.NewPCG(99, 0xb0b))
+			var next int64 = stable + 1
+			var ids []int64
+			for i := 0; i < lane.ops; i++ {
+				if rng.Float64() < 0.55 || len(ids) == 0 {
+					id := next
+					next++
+					if err := s.Insert(id, lane.churnMin+rng.Int64N(lane.span)); err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+				} else {
+					j := rng.IntN(len(ids))
+					if err := s.Delete(ids[j]); err != nil {
+						t.Fatal(err)
+					}
+					ids[j] = ids[len(ids)-1]
+					ids = ids[:len(ids)-1]
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if s.BytesMoved() == 0 {
+				t.Fatal("churn produced no physical moves")
+			}
+			for id := int64(1); id <= stable; id++ {
 				got, ok := s.Bytes(id)
-				if !ok {
-					t.Errorf("id %d vanished", id)
-					return
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("id %d: torn or corrupted read", id)
-					return
+				if !ok || !bytes.Equal(got, payload(id)) {
+					t.Fatalf("id %d: payload corrupted after churn", id)
 				}
 			}
-		}(uint64(w + 1))
-	}
-	// Churn driver: scratch objects come and go around the stable ones,
-	// forcing flushes (and physical moves) on every shard.
-	rng := rand.New(rand.NewPCG(99, 0xb0b))
-	var next int64 = stable + 1
-	var ids []int64
-	for i := 0; i < 30000; i++ {
-		if rng.Float64() < 0.55 || len(ids) == 0 {
-			id := next
-			next++
-			if err := s.Insert(id, 1+rng.Int64N(64)); err != nil {
-				t.Fatal(err)
+			var snap telemetry.Snapshot
+			reg.ReadSnapshot(&snap)
+			var large int64 // flushes that moved at least lane.minFlush
+			for i, n := range snap.FlushMoved.Buckets {
+				if lo, _ := telemetry.BucketBounds(i); lo >= lane.minFlush {
+					large += n
+				}
 			}
-			ids = append(ids, id)
-		} else {
-			j := rng.IntN(len(ids))
-			if err := s.Delete(ids[j]); err != nil {
-				t.Fatal(err)
+			if lane.minFlush > 0 && large == 0 {
+				t.Fatalf("no flush moved %d bytes or more (largest %d)", lane.minFlush, snap.FlushMoved.Max)
 			}
-			ids[j] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if s.BytesMoved() == 0 {
-		t.Fatal("churn produced no physical moves")
-	}
-	for id := int64(1); id <= stable; id++ {
-		got, ok := s.Bytes(id)
-		if !ok || !bytes.Equal(got, payload(id)) {
-			t.Fatalf("id %d: payload corrupted after churn", id)
-		}
+			t.Logf("%d flushes, %d of at least %d bytes, largest %d bytes", snap.FlushMoved.Count, large, lane.minFlush, snap.FlushMoved.Max)
+		})
 	}
 }

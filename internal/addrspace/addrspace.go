@@ -192,14 +192,15 @@ func (s *Space) ForEachTagged(fn func(id ID, ext Extent, tag int32)) {
 	s.byStart.forEach(func(p placement) { fn(p.id, p.ext, p.tag) })
 }
 
-// SuffixTags calls fn with the tag and start of each live object
+// SuffixTags calls fn with the id, extent and tag of each live object
 // starting at or after from, in address order: the i-th call names the
 // object of rank i in that suffix, the Relocation.Ref a move plan applied
-// against from names it by. Flush planning walks the flushed suffix this
-// way, resolving its own records by tag instead of looking up ids, and
-// reads each object's current start without a second walk.
-func (s *Space) SuffixTags(from int64, fn func(tag int32, start int64)) {
-	s.byStart.tagsFrom(s.byStart.lowerBound(from), fn)
+// against from names it by. It is the substrate's one suffix walk. Flush
+// planning walks the flushed suffix this way and learns each object's
+// id, size and current start from its index entry, and the owner's state
+// for it by tag, without looking up ids or making a second walk.
+func (s *Space) SuffixTags(from int64, fn func(id ID, ext Extent, tag int32)) {
+	s.byStart.forEachFrom(s.byStart.lowerBound(from), fn)
 }
 
 // overlapAny reports whether ext overlaps any live object other than skip

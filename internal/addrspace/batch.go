@@ -3,6 +3,10 @@ package addrspace
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"time"
+
+	"realloc/internal/arena"
 )
 
 // This file implements move-plan validation and the whole-plan path of a
@@ -29,7 +33,13 @@ import (
 // rank. Rank order is address order, which lets the merge skip net-moved
 // entries and the footprint cursor step over moved ones without sorting.
 // The scratch is reused across plans: steady-state flushes allocate
-// nothing.
+// nothing but the copy goroutine of an overlapped chunk.
+//
+// The commit (id table and index) touches none of the memory the copies
+// touch, so a large whole-plan chunk with nothing to observe it — no
+// emitter, no checkpoint rule, a real backend, at least overlapMinVolume
+// of moves — runs its copies on a second goroutine while the caller
+// commits, and joins them before it returns (executeOverlapped).
 
 // Relocation is one step of a move plan: relocate ID so that it starts at
 // To. Ref names the object by its rank among the live objects starting at
@@ -78,6 +88,12 @@ type batchState struct {
 	chunkRefs  []int32
 	chunkDels  []int64
 	chunkIns   []placement
+
+	// Overlapped whole-plan chunk (see executeOverlapped): the join on
+	// the copy goroutine, and what it hands back through the join.
+	copies    sync.WaitGroup
+	copyNanos int64
+	copyPanic any
 }
 
 // Per-rank marks.
@@ -241,6 +257,16 @@ func byStart(a, c placement) int {
 	}
 }
 
+// overlapMinVolume is the plan volume from which an unobserved
+// whole-plan chunk on a real backend without the checkpoint rule copies
+// on a second goroutine while its caller commits (executeOverlapped).
+// Smaller plans run serially: starting and joining the goroutine costs
+// microseconds, and a small commit hides less than that. On a 2-vCPU VM
+// (heap arena, ~128 MiB live, objects of 64 B to 64 KiB), overlapping
+// lost 12% at 512 KiB, was within noise at 1–1.5 MiB and won 11% at
+// 2 MiB.
+const overlapMinVolume = 2 << 20
+
 // executeBulk is a session's whole-plan chunk: it applies the plan using
 // the scratch simulatePlan populated, then commits the id table and
 // splices the pre-merged suffix into the index. Nothing in it can fail, so
@@ -256,8 +282,16 @@ func byStart(a, c placement) int {
 // an index generation no table rebuild has moved on from. On a real
 // backend the move loop is timed as one chunk (MoveNanos); the commit is
 // not.
+//
+// A chunk with no emitter and no checkpoint rule, on a real backend,
+// whose plan moves at least overlapMinVolume, takes executeOverlapped
+// instead: the same end state, with the copies on a second goroutine
+// while this one commits.
 func (ms *MoveSession) executeBulk(emit func(MoveResult)) (volume int64) {
 	s, b, plan := ms.s, ms.b, ms.plan
+	if emit == nil && !s.opts.CheckpointRule && s.HasData() && ms.total >= overlapMinVolume {
+		return ms.executeOverlapped()
+	}
 	// The last untouched entry has the largest end among them; only it can
 	// reach into the merged zone, and it is the footprint floor once every
 	// suffix entry has moved.
@@ -348,6 +382,68 @@ func (ms *MoveSession) executeBulk(emit func(MoveResult)) (volume int64) {
 	}
 	s.byStart.replaceSuffix(ms.cut, b.merged)
 	return volume
+}
+
+// executeOverlapped is executeBulk for a large plan nothing observes on
+// a real RAM backend. A second goroutine runs the plan's copies in plan
+// order (copyPlan) while the caller counts the moves, stamps cells, and
+// commits the id table and the index. The two touch disjoint memory: the
+// copies write only the backend and read only plan scratch the commit
+// does not write, and the commit never touches the backend. So the
+// backend has one user at every instant, and the Space ends exactly as
+// the serial loop leaves it. The caller joins the copies on every path
+// before it returns, a panic in its own commit included, and re-raises a
+// panic a copy raised (arena.ErrClosed, say), so callers see the same
+// panic the serial loop would raise. MoveNanos is charged with the copy
+// goroutine's own clock pair: still the copies' time. curStart is left
+// at the plan's start positions; nothing reads it once the session ends.
+func (ms *MoveSession) executeOverlapped() (volume int64) {
+	s, b, plan := ms.s, ms.b, ms.plan
+	b.copies.Add(1)
+	go b.copyPlan(s.data, plan)
+	defer b.joinCopies(s)
+	for k, mv := range plan {
+		if mv.To == b.oldSteps[k] {
+			continue
+		}
+		size := b.suffix[mv.Ref].ext.Size
+		s.stampCells(Extent{Start: mv.To, Size: size}, mv.ID)
+		s.moves++
+		volume += size
+	}
+	for i := range b.finals {
+		f := &b.finals[i]
+		s.ids.setExt(f.slot, f.id, f.ext)
+	}
+	s.byStart.replaceSuffix(ms.cut, b.merged)
+	return volume
+}
+
+// copyPlan is the copy goroutine of executeOverlapped: every copy of the
+// plan, in plan order, under one clock pair. It recovers a panic instead
+// of crashing the process, for joinCopies to re-raise on the caller.
+func (b *batchState) copyPlan(data arena.Backend, plan []Relocation) {
+	defer b.copies.Done()
+	defer func() { b.copyPanic = recover() }()
+	t0 := time.Now()
+	for k, mv := range plan {
+		if oldStart := b.oldSteps[k]; mv.To != oldStart {
+			data.Copy(mv.To, oldStart, b.suffix[mv.Ref].ext.Size)
+		}
+	}
+	b.copyNanos = int64(time.Since(t0))
+}
+
+// joinCopies waits for copyPlan, charges its clock to MoveNanos, and
+// re-raises the panic it recovered, if any.
+func (b *batchState) joinCopies(s *Space) {
+	b.copies.Wait()
+	s.moveNanos += b.copyNanos
+	b.copyNanos = 0
+	if p := b.copyPanic; p != nil {
+		b.copyPanic = nil
+		panic(p)
+	}
 }
 
 // syncObjects writes the positions of plan steps [from, upto) into the

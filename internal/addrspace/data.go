@@ -25,10 +25,13 @@ func (s *Space) HasData() bool { return s.data != nil && s.data.Real() }
 
 // MoveNanos returns the cumulative wall-clock nanoseconds move sessions
 // spent in their move loops on a real backend: one clock pair per Advance
-// chunk, whole-plan or partial, covering the memmoves together with the
-// per-move bookkeeping and observer callbacks around them. No clock is
-// read per copy, per-move Move is not timed, and a space without real
-// bytes (metered or index-only) stays at 0.
+// chunk, whole-plan or partial. A serial loop's pair covers the memmoves
+// together with the per-move bookkeeping and observer callbacks around
+// them. An overlapped whole-plan chunk (see executeOverlapped) is timed
+// by its copy goroutine's own pair, so it covers the copies alone and
+// not the commit running beside them. No clock is read per copy,
+// per-move Move is not timed, and a space without real bytes (metered or
+// index-only) stays at 0.
 func (s *Space) MoveNanos() int64 { return s.moveNanos }
 
 // moveClock starts timing one move loop: the current time on a real

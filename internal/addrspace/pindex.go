@@ -185,12 +185,12 @@ func (x *pindex) forEachPtr(fn func(p *placement)) {
 	}
 }
 
-// tagsFrom calls fn with the tag and start of each entry from p to the
-// end, in address order.
-func (x *pindex) tagsFrom(p pos, fn func(tag int32, start int64)) {
+// forEachFrom calls fn with the id, extent and tag of each entry from p
+// to the end, in address order.
+func (x *pindex) forEachFrom(p pos, fn func(id ID, ext Extent, tag int32)) {
 	for b, i := p.b, p.i; b < len(x.blocks); b, i = b+1, 0 {
 		for _, e := range x.blocks[b][i:] {
-			fn(e.tag, e.ext.Start)
+			fn(e.id, e.ext, e.tag)
 		}
 	}
 }

@@ -112,34 +112,30 @@ func TestTagsSurviveMoves(t *testing.T) {
 	}
 }
 
-// TestSuffixTags: SuffixTags yields the tag and start of each object
-// starting at or after from in address order — rank order — and Place
-// tags 0.
+// TestSuffixTags: SuffixTags yields the id, extent and tag of each
+// object starting at or after from in address order — rank order — and
+// Place tags 0.
 func TestSuffixTags(t *testing.T) {
 	s := tagSpace(t, RAM(), 4)
 	if err := s.Place(99, Extent{Start: s.MaxEnd() + 1, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
-	type tagStart struct {
-		tag   int32
-		start int64
-	}
 	from, _ := s.Extent(12)
-	var want []tagStart
-	s.ForEachTagged(func(id ID, ext Extent, tag int32) {
-		if ext.Start >= from.Start {
-			want = append(want, tagStart{tag, ext.Start})
+	var want []taggedEntry
+	for _, e := range taggedEntries(s) {
+		if e.ext.Start >= from.Start {
+			want = append(want, e)
 		}
-	})
-	if want[len(want)-1].tag != 0 {
-		t.Fatalf("Place tagged object 99 with %d, want 0", want[len(want)-1].tag)
 	}
-	var got []tagStart
-	s.SuffixTags(from.Start, func(tag int32, start int64) { got = append(got, tagStart{tag, start}) })
+	if last := want[len(want)-1]; last.id != 99 || last.tag != 0 {
+		t.Fatalf("last suffix entry is object %d tagged %d, want object 99 tagged 0", last.id, last.tag)
+	}
+	var got []taggedEntry
+	s.SuffixTags(from.Start, func(id ID, ext Extent, tag int32) { got = append(got, taggedEntry{id, ext, tag}) })
 	if !slices.Equal(got, want) {
 		t.Fatalf("SuffixTags = %v, want %v", got, want)
 	}
-	s.SuffixTags(s.MaxEnd(), func(tag int32, start int64) {
-		t.Fatalf("SuffixTags past the end yielded tag %d at %d", tag, start)
+	s.SuffixTags(s.MaxEnd(), func(id ID, ext Extent, tag int32) {
+		t.Fatalf("SuffixTags past the end yielded object %d at %v tagged %d", id, ext, tag)
 	})
 }

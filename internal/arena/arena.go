@@ -21,7 +21,11 @@
 // error from Sync, never as a fault inside a copy.
 //
 // Backends are not safe for concurrent use; the engine serializes all
-// access (the facades' locks extend over payload reads and writes).
+// access (the facades' locks extend over payload reads and writes). A
+// large RAM flush plan that nothing observes runs its copies on a second
+// goroutine while the caller commits the index and then waits for them,
+// so the backend still has one user at a time, and the caller's lock is
+// held throughout.
 package arena
 
 import (

@@ -95,21 +95,20 @@ const (
 )
 
 // object is the engine's record of a live object. Its physical position
-// lives in the address space.
+// lives in the address space, and its place lives in records.places.
 type object struct {
 	id    ID
 	size  int64
 	class int
-	place placeKind
 	// tag is the record's fixed position in the engine's record pages; the
 	// object's substrate index entry carries it (see records).
 	tag int32
-	// For place == inBuffer: which buffer (bufClass, tailBuffer for the
+	// For an object inBuffer: which buffer (bufClass, tailBuffer for the
 	// tail) and the index of its item entry, so a delete can convert the
 	// entry to a dummy in place.
 	bufClass int
 	bufIdx   int
-	// For place == inLog: index of the log entry, so a delete during the
+	// For an object inLog: index of the log entry, so a delete during the
 	// same flush can annihilate the pair.
 	logIdx int
 	// deletePending marks objects whose delete request is sitting in the
@@ -127,10 +126,19 @@ const recPageBits = 10
 // with the substrate's one id probe (Space.Lookup). Pages never move, so
 // *object pointers stay valid for a record's lifetime; removed records'
 // tags are reused.
+//
+// Each tag's place is kept apart from its record, one byte per tag in
+// places, and nowhere else. A flush's suffix walk learns everything else
+// it needs from the index entry (id, extent, and so the class), so it
+// streams the index and this byte slice and never loads a record. The
+// extent alone cannot stand in for the place: a Section 3 trigger sits at
+// the old footprint, which can lie inside the last region's payload range
+// when that payload ends in holes.
 type records struct {
-	pages []*[1 << recPageBits]object
-	free  []int32
-	used  int32 // tags below used have been handed out
+	pages  []*[1 << recPageBits]object
+	places []placeKind // by tag; inLimbo for free tags
+	free   []int32
+	used   int32 // tags below used have been handed out
 }
 
 // take returns a zeroed record with its tag set.
@@ -142,6 +150,7 @@ func (t *records) take() *object {
 	} else {
 		tag = t.used
 		t.used++
+		t.places = append(t.places, inLimbo)
 		if int(tag>>recPageBits) == len(t.pages) {
 			t.pages = append(t.pages, new([1 << recPageBits]object))
 		}
@@ -156,12 +165,19 @@ func (t *records) at(tag int32) *object {
 	return &t.pages[tag>>recPageBits][tag&(1<<recPageBits-1)]
 }
 
+// place returns where the object with the given tag lives.
+func (t *records) place(tag int32) placeKind { return t.places[tag] }
+
+// setPlace records where the object with the given tag lives.
+func (t *records) setPlace(tag int32, p placeKind) { t.places[tag] = p }
+
 // put releases a record whose object has been fully removed. Annihilated
 // log entries may still point at it; they are dead and never
 // dereferenced.
 func (t *records) put(o *object) {
 	tag := o.tag
 	*o = object{tag: tag}
+	t.places[tag] = inLimbo
 	t.free = append(t.free, tag)
 }
 

@@ -102,7 +102,8 @@ func TestCheckerCatchesLeakedRecord(t *testing.T) {
 	r := corruptible(t)
 	// A live record that no index entry names.
 	o := r.recs.take()
-	o.id, o.size, o.class, o.place = 4242, 2, ClassOf(2), inPayload
+	o.id, o.size, o.class = 4242, 2, ClassOf(2)
+	r.recs.setPlace(o.tag, inPayload)
 	expectViolation(t, r, "live records")
 }
 

@@ -53,7 +53,8 @@ func (r *Reallocator) LogDepth() int { return r.log.pending() }
 func (r *Reallocator) logInsert(id ID, size int64) error {
 	pos := r.log.end
 	obj := r.recs.take()
-	obj.id, obj.size, obj.class, obj.place, obj.logIdx = id, size, ClassOf(size), inLog, len(r.log.entries)
+	obj.id, obj.size, obj.class, obj.logIdx = id, size, ClassOf(size), len(r.log.entries)
+	r.recs.setPlace(obj.tag, inLog)
 	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: size}); err != nil {
 		return err
 	}
@@ -71,7 +72,7 @@ func (r *Reallocator) logInsert(id ID, size int64) error {
 // inserted during this flush annihilates the pair immediately; otherwise
 // the object stays active until the drain re-applies the delete.
 func (r *Reallocator) logDelete(obj *object) error {
-	if obj.place == inLog {
+	if r.recs.place(obj.tag) == inLog {
 		r.log.entries[obj.logIdx].dead = true
 		if err := r.space.Remove(obj.id); err != nil {
 			return err
@@ -91,7 +92,7 @@ func (r *Reallocator) logDelete(obj *object) error {
 // structure, moving it out of the log region. This is the one extra
 // reallocation Lemma 3.6 charges to logged objects.
 func (r *Reallocator) drainInsert(obj *object) error {
-	if obj.place != inLog {
+	if r.recs.place(obj.tag) != inLog {
 		return fmt.Errorf("core: drain of object %d not in log", obj.id)
 	}
 	// A brand-new largest class appends its region beyond everything
@@ -108,7 +109,7 @@ func (r *Reallocator) drainInsert(obj *object) error {
 		if _, err := r.moveObj(obj, reg.payStart); err != nil {
 			return err
 		}
-		obj.place = inPayload
+		r.recs.setPlace(obj.tag, inPayload)
 		r.regions = append(r.regions, reg)
 		r.dirty = true
 		return nil
@@ -118,7 +119,7 @@ func (r *Reallocator) drainInsert(obj *object) error {
 		if _, err := r.moveObj(obj, reg.bufStart()+reg.bufFill); err != nil {
 			return err
 		}
-		obj.place = inBuffer
+		r.recs.setPlace(obj.tag, inBuffer)
 		obj.bufClass = reg.class
 		obj.bufIdx = len(reg.items)
 		reg.items = append(reg.items, bufItem{id: obj.id, size: obj.size, class: obj.class})
@@ -136,7 +137,7 @@ func (r *Reallocator) drainInsert(obj *object) error {
 	if _, err := r.moveObj(obj, pos); err != nil {
 		return err
 	}
-	obj.place = inBuffer
+	r.recs.setPlace(obj.tag, inBuffer)
 	obj.bufClass = tailBuffer
 	obj.bufIdx = len(t.items)
 	t.items = append(t.items, bufItem{id: obj.id, size: obj.size, class: obj.class})
@@ -170,7 +171,7 @@ func (r *Reallocator) drainDelete(obj *object) error {
 	r.vol -= obj.size
 	r.volByClass[obj.class] -= obj.size
 
-	switch obj.place {
+	switch r.recs.place(obj.tag) {
 	case inBuffer:
 		r.bufferEntry(obj).id = 0
 		if err := r.space.Remove(obj.id); err != nil {
@@ -197,7 +198,7 @@ func (r *Reallocator) drainDelete(obj *object) error {
 			t.fill += obj.size
 		}
 	default:
-		return fmt.Errorf("core: drained delete of %d in unexpected state %d", obj.id, obj.place)
+		return fmt.Errorf("core: drained delete of %d in unexpected state %d", obj.id, r.recs.place(obj.tag))
 	}
 	r.emit(trace.KDelete, obj.id, obj.size, 0, 0)
 	r.recs.put(obj)

@@ -124,7 +124,7 @@ func (r *Reallocator) startFlush(trigClass int, wtrig int64) error {
 	// positions catch up as the plan executes. Every flushed object ends
 	// in its payload, where the payload survivors already are.
 	for i := range buffered {
-		r.recs.at(buffered[i].tag).place = inPayload
+		r.recs.setPlace(buffered[i].tag, inPayload)
 	}
 	r.install(lp)
 	r.plan = &flushPlan{

@@ -75,7 +75,7 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 		return err
 	}
 	for i := range buffered {
-		r.recs.at(buffered[i].tag).place = inPayload
+		r.recs.setPlace(buffered[i].tag, inPayload)
 	}
 
 	r.install(lp)
@@ -86,7 +86,7 @@ func (r *Reallocator) flushRAM(trigClass int, trigger *object) error {
 		if err := r.placeCkpt(trigger, addrspace.Extent{Start: trigSlot, Size: trigger.size}); err != nil {
 			return err
 		}
-		trigger.place = inPayload
+		r.recs.setPlace(trigger.tag, inPayload)
 	}
 	r.rec.Record(trace.Event{Kind: trace.KFlushEnd, Size: flushedVol})
 	if r.tel != nil {

@@ -52,7 +52,7 @@ func (r *Reallocator) Insert(id ID, size int64) error {
 	r.vol += size
 	r.volByClass[c] += size
 	obj := r.recs.take()
-	obj.id, obj.size, obj.class, obj.place = id, size, c, inLimbo
+	obj.id, obj.size, obj.class = id, size, c
 
 	if err := r.insertPlaced(obj, quota); err != nil {
 		return err
@@ -120,7 +120,7 @@ func (r *Reallocator) insertNewClass(obj *object) error {
 	if err := r.placeCkpt(obj, addrspace.Extent{Start: reg.payStart, Size: obj.size}); err != nil {
 		return err
 	}
-	obj.place = inPayload
+	r.recs.setPlace(obj.tag, inPayload)
 	r.regions = append(r.regions, reg)
 	return nil
 }
@@ -145,7 +145,7 @@ func (r *Reallocator) insertIntoBuffer(obj *object, idx int) error {
 	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
 		return err
 	}
-	obj.place = inBuffer
+	r.recs.setPlace(obj.tag, inBuffer)
 	obj.bufClass = reg.class
 	obj.bufIdx = len(reg.items)
 	reg.items = append(reg.items, bufItem{id: obj.id, size: obj.size, class: obj.class})
@@ -160,7 +160,7 @@ func (r *Reallocator) insertIntoTail(obj *object) error {
 	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
 		return err
 	}
-	obj.place = inBuffer
+	r.recs.setPlace(obj.tag, inBuffer)
 	obj.bufClass = tailBuffer
 	obj.bufIdx = len(t.items)
 	t.items = append(t.items, bufItem{id: obj.id, size: obj.size, class: obj.class})
@@ -176,7 +176,7 @@ func (r *Reallocator) placeTrigger(obj *object) error {
 	if err := r.placeCkpt(obj, addrspace.Extent{Start: pos, Size: obj.size}); err != nil {
 		return err
 	}
-	obj.place = inBuffer
+	r.recs.setPlace(obj.tag, inBuffer)
 	if r.tailBuf != nil {
 		t := r.tailBuf
 		obj.bufClass = tailBuffer
@@ -232,7 +232,7 @@ func (r *Reallocator) deleteNow(obj *object, quota int64) error {
 	r.vol -= obj.size
 	r.volByClass[obj.class] -= obj.size
 
-	switch obj.place {
+	switch r.recs.place(obj.tag) {
 	case inBuffer:
 		// Convert the buffer entry to a dummy record in place: the entry
 		// keeps consuming its space until the next flush, which is what
@@ -283,7 +283,7 @@ func (r *Reallocator) deleteNow(obj *object, quota int64) error {
 			return r.advance(quota)
 		}
 	default:
-		return fmt.Errorf("core: delete of %d in unexpected state %d", obj.id, obj.place)
+		return fmt.Errorf("core: delete of %d in unexpected state %d", obj.id, r.recs.place(obj.tag))
 	}
 }
 

@@ -135,7 +135,7 @@ func (r *Reallocator) checkObject(id ID, ext addrspace.Extent, tag int32, quiesc
 	if o.size < 1 || ClassOf(o.size) != o.class {
 		return fmt.Errorf("core: object %d size/class mismatch (%d, %d)", id, o.size, o.class)
 	}
-	switch o.place {
+	switch r.recs.place(tag) {
 	case inPayload:
 		payLive[o.class] += o.size
 		if !quiescent {

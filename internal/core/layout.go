@@ -103,9 +103,9 @@ func (r *Reallocator) takeRegion() *region {
 }
 
 // flushObj is one flushed object as flush planning sees it. The suffix
-// walk reads each record once into one of these; slots, the final order
-// and the move plan are then computed over the dense array, so planning
-// never returns to the scattered records.
+// walk fills one of these per flushed object from the index entry and
+// the object's place byte; slots, the final order and the move plan are
+// then computed over the dense array, so planning never touches a record.
 type flushObj struct {
 	id    ID
 	size  int64
@@ -130,23 +130,26 @@ func (o *flushObj) relocation(to int64) addrspace.Relocation {
 // there), and the substrate's index is address-sorted, so one ranged walk
 // collects both lists in order — no per-flush sort, no full-index scan,
 // and the returned slices are scratch reused across flushes. The walk
-// yields index tags, which name the records directly, and current starts;
-// each object's rank in the walk is the Ref a plan applied against from
-// names it by. The trigger object, if physically placed in a buffer
-// already, is among the buffered ones.
+// yields each index entry's id, extent and tag; the class follows from
+// the size, and the place is the one byte records keeps per tag, so the
+// walk streams the index and that byte slice and loads no record. Each
+// object's rank in the walk is the Ref a plan applied against from names
+// it by. The trigger object, if physically placed in a buffer already, is
+// among the buffered ones.
 func (r *Reallocator) flushedObjects(lp *layoutPlan, from int64) (payload, buffered []flushObj) {
 	pay, buf := r.payBuf[:0], r.bufBuf[:0]
 	rank := int32(0)
-	r.space.SuffixTags(from, func(tag int32, start int64) {
-		o := r.recs.at(tag)
-		if o.class >= lp.boundary && (o.place == inPayload || o.place == inBuffer) {
-			fo := flushObj{id: o.id, size: o.size, start: start, class: o.class, rank: rank, tag: tag}
-			if o.place == inPayload {
-				pay = append(pay, fo)
-			} else {
-				buf = append(buf, fo)
+	r.space.SuffixTags(from, func(id ID, ext addrspace.Extent, tag int32) {
+		if c := ClassOf(ext.Size); c >= lp.boundary {
+			if p := r.recs.place(tag); p == inPayload || p == inBuffer {
+				fo := flushObj{id: id, size: ext.Size, start: ext.Start, class: c, rank: rank, tag: tag}
+				if p == inPayload {
+					pay = append(pay, fo)
+				} else {
+					buf = append(buf, fo)
+				}
+				lp.regionOf(c).next++
 			}
-			lp.regionOf(o.class).next++
 		}
 		rank++
 	})

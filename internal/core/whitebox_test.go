@@ -133,7 +133,7 @@ func (c *flushMoveCounter) Record(e trace.Event) {
 		clear(c.moves)
 		clear(c.buffered)
 		for id, o := range c.r.objects() {
-			if o.place == inBuffer {
+			if c.r.recs.place(o.tag) == inBuffer {
 				c.buffered[id] = true
 			}
 		}
@@ -389,8 +389,8 @@ func TestDeleteOfBufferedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := r.objects()[2]
-	if obj.place != inBuffer {
-		t.Fatalf("object 2 not buffered: %v", obj.place)
+	if p := r.recs.place(obj.tag); p != inBuffer {
+		t.Fatalf("object 2 not buffered: %v", p)
 	}
 	idx, _ := r.regionIndex(obj.bufClass)
 	fillBefore := r.regions[idx].bufFill
@@ -430,7 +430,7 @@ func TestDeamortizedLogAnnihilation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.plan != nil {
-		if o := r.objects()[9001]; o == nil || o.place != inLog {
+		if o := r.objects()[9001]; o == nil || r.recs.place(o.tag) != inLog {
 			t.Fatal("mid-flush insert should be logged")
 		}
 		if err := r.Delete(9001); err != nil {
@@ -461,7 +461,7 @@ func TestDeamortizedDeferredDelete(t *testing.T) {
 	// Find some object that predates the flush.
 	var victim ID
 	for id, o := range r.objects() {
-		if o.place == inPayload && !o.deletePending {
+		if r.recs.place(o.tag) == inPayload && !o.deletePending {
 			victim = id
 			break
 		}

@@ -358,7 +358,7 @@ func (r *Reallocator) rebuild() error {
 	}
 	order := slices.Grow(r.orderBuf[:0], n)[:n]
 	rank := int32(0)
-	r.space.SuffixTags(0, func(tag int32, _ int64) {
+	r.space.SuffixTags(0, func(_ addrspace.ID, _ addrspace.Extent, tag int32) {
 		order[next[tag]] = rank
 		next[tag]++
 		rank++

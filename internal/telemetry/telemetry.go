@@ -250,7 +250,7 @@ type Set struct {
 	FlushStall     Histogram // per-op time blocked advancing a flush the op did not trigger
 	FlushMoved     Histogram // cells moved per completed flush
 	FlushChunk     Histogram // cells moved per deamortized session chunk
-	FlushCopy      Histogram // time in the flush's move loops, incl. per-move bookkeeping and observer callbacks (real backends only)
+	FlushCopy      Histogram // time in the flush's move loops, incl. per-move bookkeeping and observer callbacks; an overlapped plan's copies alone (real backends only)
 	MigrateLatency Histogram // per-object rebalancer migration latency
 	BatchSize      Histogram // ops per executed batch group (Apply)
 	WALFsync       Histogram // WAL group-fsync latency (durable stores)
