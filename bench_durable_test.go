@@ -2,7 +2,7 @@ package realloc_test
 
 // Durability benchmarks: what the WAL + file-backed arena cost over the
 // in-memory heap backend for identical churn, and how fast WAL replay
-// rebuilds a checkpointed block table. cmd/benchgate's -durable lane
+// rebuilds a checkpointed block table. cmd/benchgate's durable lane
 // gates both and writes BENCH_ci_durable.json.
 
 import (
@@ -71,7 +71,7 @@ func benchBlockChurn(b *testing.B, s *realloc.BlockStore) {
 // BenchmarkDurableChurn prices durability: identical block churn on the
 // in-memory heap arena (lane "heap") and in durable mode (lane "wal" —
 // WAL appends per placement, WAL group-fsync and file-backed arena sync
-// in parallel per checkpoint). cmd/benchgate's -durable lane compares
+// in parallel per checkpoint). cmd/benchgate's durable lane compares
 // the pair and fails CI when the durable path's per-op cost drifts
 // beyond its bound.
 func BenchmarkDurableChurn(b *testing.B) {

@@ -193,7 +193,7 @@ func BenchmarkChurnClassGap(b *testing.B)     { benchChurnTarget(b, baseline.New
 // steady-state churn through the public facade with telemetry off and
 // on, for an amortized and a deamortized core, on the metered backend
 // (<variant>/off|on) and on the heap arena (<variant>_heap/off|on).
-// cmd/benchgate's -overhead lane compares each on/off pair and fails CI
+// cmd/benchgate's overhead lane compares each on/off pair and fails CI
 // when arming telemetry costs more than 10%. The recording budget is two
 // atomic adds plus two clock reads per op, and per flush a few histogram
 // records. No clock is read per copy: the substrate times each chunk of
@@ -227,7 +227,7 @@ func BenchmarkChurnTelemetry(b *testing.B) {
 // same steady-state churn through the public facade on the metered
 // backend (moved volume is counted, no bytes exist) and on the heap
 // arena (every relocation physically copies the object's extent), for
-// the reference and the FCS core. cmd/benchgate's -bytes lane compares
+// the reference and the FCS core. cmd/benchgate's bytes lane compares
 // each heap/metered pair and fails CI when real copies inflate per-op
 // cost beyond its bound — the honest price of the cost model's "moved
 // volume" unit.
@@ -575,7 +575,7 @@ func benchShardedParallelMixBatched(b *testing.B, readPct, batch int) {
 //
 //	go test -bench ShardedParallel -cpu 1,2,4,8
 //
-// and compare ns/op across the -cpu sweep. cmd/benchgate's scaling gate
+// and compare ns/op across the -cpu sweep. cmd/benchgate's scaling lane
 // enforces the mixed curve in CI. The Batch64 lanes submit churn
 // through Apply — the batched path amortizes the shard lock, mirror
 // publish, and telemetry stamp across the group, so their curves bound
@@ -590,7 +590,7 @@ func BenchmarkShardedParallel(b *testing.B) {
 }
 
 // benchBatchChurnSetup builds the batched-vs-per-op pricing workload
-// the benchgate -batch lane compares: stack-order churn (delete the
+// cmd/benchgate's batch lane compares: stack-order churn (delete the
 // most recently inserted objects, then re-insert them) over a small
 // resident set of size-1 objects, on the FCS core at ε=1 with
 // telemetry armed. Stack-order deletes never trigger the core's
@@ -625,7 +625,7 @@ func benchBatchChurnSetup(b *testing.B) (*realloc.ShardedReallocator, realloc.Ba
 	return s, batch
 }
 
-// BenchmarkBatchChurn pairs the lanes; cmd/benchgate's -batch mode
+// BenchmarkBatchChurn pairs the lanes; cmd/benchgate's batch lane
 // fails CI when batch64 does not beat perOp by the gated factor.
 func BenchmarkBatchChurn(b *testing.B) {
 	b.Run("perOp", func(b *testing.B) {

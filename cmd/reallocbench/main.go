@@ -24,20 +24,17 @@
 //
 //	reallocbench -e E14 -telemetry -http :6060
 //
-// With -durable, the experiment suite is skipped and a durability lane
-// runs instead: a block-churn workload against a durable store (WAL +
-// file-backed arena) in -wal DIR (a temp directory when empty), which
-// is then closed and recovered, printing churn throughput, checkpoint
-// counts, WAL fsync percentiles, and cold-start replay time:
-//
-//	reallocbench -durable [-wal DIR] [-ops 100000] [-seed 1]
+// Durability is priced elsewhere: CI's durable lane (cmd/benchgate -lane
+// durable) gates BenchmarkDurableChurn and BenchmarkWALReplay, and
+// perfbench's dbstore workload reports churn throughput and, traced
+// (--trace 1), checkpoints per mutation, WAL fsync percentiles, and
+// recovery and replay time.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -47,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"realloc"
 	"realloc/internal/benchfmt"
 	"realloc/internal/exp"
 	"realloc/internal/telemetry"
@@ -75,16 +71,10 @@ func run() int {
 		outdir     = flag.String("outdir", ".", "directory for -json output files")
 		telem      = flag.Bool("telemetry", false, "arm the runtime telemetry layer on facade experiments and embed percentile summaries in findings")
 		httpAddr   = flag.String("http", "", "serve live /metrics, /debug/vars and /debug/pprof on this `address` (implies -telemetry)")
-		durable    = flag.Bool("durable", false, "run the durability lane (WAL + file-backed arena churn, then recovery) instead of the experiment suite")
-		walDir     = flag.String("wal", "", "media `directory` for the -durable lane (empty: a fresh temp directory, removed afterwards)")
 	)
 	flag.Parse()
 	if *httpAddr != "" {
 		*telem = true
-	}
-
-	if *durable {
-		return runDurableLane(*walDir, *seed, *ops)
 	}
 
 	if *list {
@@ -190,95 +180,6 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "reallocbench: wrote %s\n", path)
 	}
-	return 0
-}
-
-// runDurableLane is the -durable mode: churn a durable block store in
-// dir (put/update/drop with periodic checkpoints), close it, and time
-// the cold-start recovery — the end-to-end cost a database pays for the
-// checkpoint rule's durability contract.
-func runDurableLane(dir string, seed uint64, ops int) int {
-	if ops <= 0 {
-		ops = 100_000
-	}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "reallocbench-wal-*")
-		if err != nil {
-			return fail(err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	reg := telemetry.NewRegistry()
-	s, err := realloc.NewBlockStore(realloc.BlockStoreDir(dir), realloc.BlockStoreTelemetry(reg))
-	if err != nil {
-		return fail(err)
-	}
-
-	rng := rand.New(rand.NewPCG(seed, 0xd07ab))
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	var names []string
-	next := 0
-	start := time.Now()
-	for op := 0; op < ops; op++ {
-		var err error
-		switch k := rng.IntN(10); {
-		case k < 5 || len(names) == 0:
-			name := fmt.Sprintf("blk%08d", next)
-			next++
-			if err = s.Put(name, payload[:16+rng.IntN(240)]); err == nil {
-				names = append(names, name)
-			}
-		case k < 7:
-			err = s.Update(names[rng.IntN(len(names))], int64(16+rng.IntN(240)))
-		case k < 8:
-			j := rng.IntN(len(names))
-			if err = s.Drop(names[j]); err == nil {
-				names[j] = names[len(names)-1]
-				names = names[:len(names)-1]
-			}
-		default:
-			s.Checkpoint()
-			err = s.Err()
-		}
-		if err != nil {
-			return fail(fmt.Errorf("durable churn op %d: %w", op, err))
-		}
-	}
-	s.Checkpoint()
-	if err := s.Err(); err != nil {
-		return fail(err)
-	}
-	churn := time.Since(start)
-	live, vol := s.Len(), s.Volume()
-	ckpts := s.Checkpoints()
-	if err := s.Close(); err != nil {
-		return fail(err)
-	}
-
-	t0 := time.Now()
-	s2, rep, err := realloc.OpenBlockStore(realloc.BlockStoreDir(dir), realloc.BlockStoreTelemetry(reg))
-	if err != nil {
-		return fail(fmt.Errorf("recovery: %w", err))
-	}
-	replay := time.Since(t0)
-	if err := s2.CheckInvariants(); err != nil {
-		return fail(fmt.Errorf("invariants after recovery: %w", err))
-	}
-	_ = s2.Close()
-
-	snap := reg.Snapshot()
-	fmt.Printf("== durable lane: %d ops in %s ==\n", ops, dir)
-	fmt.Printf("churn:     %v (%.0f ops/s), %d live blocks, %d cells live volume\n",
-		churn.Round(time.Millisecond), float64(ops)/churn.Seconds(), live, vol)
-	fmt.Printf("ckpts:     %d (explicit + reallocator-forced), wal fsyncs: %d (p50=%v p99=%v)\n",
-		ckpts, snap.WALFsync.Count,
-		time.Duration(snap.WALFsync.Quantile(0.50)), time.Duration(snap.WALFsync.Quantile(0.99)))
-	fmt.Printf("recovery:  %d blocks to checkpoint %d in %v (wal tail truncated: %d records)\n",
-		rep.Recovered, rep.Seq, replay.Round(time.Microsecond), rep.WALTail)
 	return 0
 }
 

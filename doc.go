@@ -196,10 +196,10 @@
 // AppendShardVolumes, ReadSnapshot, and ReadStats over their allocating
 // counterparts. BenchmarkShardedParallel (run with -cpu 1,2,4,8) and
 // experiment E15 measure the cores→throughput curves; CI enforces the
-// mixed-workload scaling gate via cmd/benchgate -scaling and uploads
-// each run's curve as a BENCH_ci_scaling.json artifact. No record is
-// committed: a curve means something only from a machine with as many
-// hardware threads as the sweep's largest -cpu value.
+// mixed-workload scaling gate (cmd/benchgate -lane scaling) and
+// uploads each run's curve as a BENCH_ci_scaling.json artifact. No
+// record is committed: a curve means something only from a machine
+// with as many hardware threads as the sweep's largest -cpu value.
 //
 // A WithObserver callback on a sharded reallocator runs while the
 // emitting shard's write lock is held (both shard locks for migration
@@ -239,7 +239,7 @@
 // identically, so their relative order is preserved. Batched deletes
 // of rebalancer-migrated ids clear their route-table overrides in one
 // copy-on-write republish per shard group. The amortization is priced
-// by BenchmarkBatchChurn and gated in CI (cmd/benchgate -batch,
+// by BenchmarkBatchChurn and gated in CI (cmd/benchgate -lane batch,
 // BENCH_ci_batch.json): 64-op batches must run front-end-bound churn
 // at ≥2x the per-op lane's throughput. With telemetry armed, group
 // sizes land in the BatchSize histogram, and batched ops stamp their
@@ -300,7 +300,8 @@
 // 30000x) is within run-to-run noise on both backends: on/off 0.92–1.06x
 // on Metered and 0.90–0.94x on HeapArena, with single runs spread over
 // 0.76–1.40x; a clock pair around every copy measured 2.0–2.6x on the
-// heap lanes. CI gates every lane at 10% via cmd/benchgate -overhead.
+// heap lanes. CI gates every lane at 10% (cmd/benchgate -lane
+// overhead).
 //
 // The registry is served three ways: telemetry.Handler renders
 // Prometheus text (per-shard histograms, labeled shard="i"),
@@ -358,8 +359,8 @@
 // O(k + B + log n) for its k moves (O(k·(log n + B)) with an observer).
 // Steady churn runs at 0 allocs/op from 10^4 to 10^6 live cells (see
 // BenchmarkChurnScaling and the README table). CI gates the 1e5→1e6
-// per-op ratio via cmd/benchgate and persists a BENCH_ci_churn.json
-// trajectory record per run.
+// per-op ratio (cmd/benchgate -lane churn) and persists a
+// BENCH_ci_churn.json trajectory record per run.
 //
 // Observable behavior is unchanged: observers receive the identical
 // per-move event sequence — footprints, checkpoints, counters — that

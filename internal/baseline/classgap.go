@@ -67,9 +67,6 @@ func (c *ClassGap) Name() string { return "classgap" }
 // Compactions returns how many full compactions have run.
 func (c *ClassGap) Compactions() int64 { return c.compacts }
 
-// PaddedVolume returns the live volume after power-of-two rounding.
-func (c *ClassGap) PaddedVolume() int64 { return c.padVol }
-
 // Insert places the object in its padded size class.
 func (c *ClassGap) Insert(id addrspace.ID, size int64) error {
 	k := orderFor(size)

@@ -45,6 +45,9 @@ type Manifest struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// NumCPU is the number of CPUs the process may run on (what nproc
+	// prints); parallel-scaling limits are derated by it.
+	NumCPU int `json:"num_cpu"`
 }
 
 // CurrentManifest captures the running process's environment. The commit
@@ -56,6 +59,7 @@ func CurrentManifest() Manifest {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
 		m.GitSHA = sha
@@ -137,42 +141,25 @@ func splitProcs(name string) (string, int) {
 	return name[:i], procs
 }
 
-// NsPerOp finds name among results, ignoring the proc count — use
-// NsPerOpAt for results of a -cpu sweep, where one name has several
-// entries.
-func NsPerOp(results []Result, name string) (float64, error) {
-	for _, r := range results {
-		if r.Name == name {
-			return r.NsPerOp, nil
-		}
-	}
-	return 0, fmt.Errorf("benchfmt: no result named %q", name)
-}
-
-// MinNsPerOp finds the fastest result for name across a -count repeat
-// run. Scheduler and cache noise on shared CI runners is strictly
-// additive, so the per-lane minimum is the most stable estimator for
-// ratio gates — it converges on the true cost as repeats grow instead
-// of wandering with the noise the way a single sample does.
-func MinNsPerOp(results []Result, name string) (float64, error) {
+// NsPerOp returns the fastest ns/op among the results named name; with
+// procs > 0, only among those at that GOMAXPROCS count (a -cpu sweep
+// gives one name a result per count). Scheduler and cache noise on
+// shared CI runners is strictly additive, so over a -count repeat run
+// the minimum converges on the true cost instead of wandering with the
+// noise the way a single sample does. The minimum of one sample is
+// that sample.
+func NsPerOp(results []Result, name string, procs int) (float64, error) {
 	best, found := 0.0, false
 	for _, r := range results {
-		if r.Name == name && (!found || r.NsPerOp < best) {
+		if r.Name == name && (procs <= 0 || r.Procs == procs) && (!found || r.NsPerOp < best) {
 			best, found = r.NsPerOp, true
 		}
 	}
 	if !found {
+		if procs > 0 {
+			return 0, fmt.Errorf("benchfmt: no result named %q at %d procs", name, procs)
+		}
 		return 0, fmt.Errorf("benchfmt: no result named %q", name)
 	}
 	return best, nil
-}
-
-// NsPerOpAt finds the result for name at an exact GOMAXPROCS count.
-func NsPerOpAt(results []Result, name string, procs int) (float64, error) {
-	for _, r := range results {
-		if r.Name == name && r.Procs == procs {
-			return r.NsPerOp, nil
-		}
-	}
-	return 0, fmt.Errorf("benchfmt: no result named %q at %d procs", name, procs)
 }

@@ -40,10 +40,10 @@ func TestParseBench(t *testing.T) {
 	if results[2].BytesPerOp != -1 || results[2].AllocsPerOp != -1 {
 		t.Fatalf("result 2 should have no -benchmem columns: %+v", results[2])
 	}
-	if ns, err := NsPerOp(results, "BenchmarkChurnScaling/deamortized/cells=1000000"); err != nil || ns != 4158.5 {
+	if ns, err := NsPerOp(results, "BenchmarkChurnScaling/deamortized/cells=1000000", 0); err != nil || ns != 4158.5 {
 		t.Fatalf("NsPerOp: %v %v", ns, err)
 	}
-	if _, err := NsPerOp(results, "BenchmarkMissing"); err == nil {
+	if _, err := NsPerOp(results, "BenchmarkMissing", 0); err == nil {
 		t.Fatal("missing benchmark found")
 	}
 	// Proc counts: absent suffix means 1 proc; -8 and -16 parse out.
@@ -71,56 +71,53 @@ func TestSplitProcs(t *testing.T) {
 	}
 }
 
-// TestNsPerOpAt covers the -cpu sweep lookup the scaling gate uses: the
-// same stripped name resolved at distinct proc counts.
-func TestNsPerOpAt(t *testing.T) {
-	sweep := `BenchmarkShardedParallel/mixed       	  30000	       800.0 ns/op
+// TestNsPerOp covers the one ns/op lookup every gate uses: a -cpu sweep
+// resolved at exact proc counts (a missing count errors), the fastest
+// of a -count repeat run's samples, a single sample passing through, and
+// a missing name.
+func TestNsPerOp(t *testing.T) {
+	input := `BenchmarkShardedParallel/mixed       	  30000	       800.0 ns/op
 BenchmarkShardedParallel/mixed-8     	  30000	       100.0 ns/op
-`
-	results, err := ParseBench(strings.NewReader(sweep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := NsPerOpAt(results, "BenchmarkShardedParallel/mixed", 1)
-	if err != nil || one != 800 {
-		t.Fatalf("at 1 proc: %v %v", one, err)
-	}
-	eight, err := NsPerOpAt(results, "BenchmarkShardedParallel/mixed", 8)
-	if err != nil || eight != 100 {
-		t.Fatalf("at 8 procs: %v %v", eight, err)
-	}
-	if _, err := NsPerOpAt(results, "BenchmarkShardedParallel/mixed", 4); err == nil {
-		t.Fatal("missing proc count found")
-	}
-}
-
-// TestMinNsPerOp covers the -count repeat lookup the batch gate uses:
-// the fastest of a name's samples wins, a single sample passes through,
-// and a missing name errors.
-func TestMinNsPerOp(t *testing.T) {
-	repeats := `BenchmarkBatchChurn/perOp    	 9000000	       250.0 ns/op
+BenchmarkBatchChurn/perOp    	 9000000	       250.0 ns/op
 BenchmarkBatchChurn/perOp    	 9000000	       240.0 ns/op
 BenchmarkBatchChurn/perOp    	 9000000	       260.0 ns/op
 BenchmarkBatchChurn/batch64  	25000000	       105.0 ns/op
 `
-	results, err := ParseBench(strings.NewReader(repeats))
+	results, err := ParseBench(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ns, err := MinNsPerOp(results, "BenchmarkBatchChurn/perOp"); err != nil || ns != 240 {
-		t.Fatalf("MinNsPerOp over repeats: %v %v", ns, err)
+	cases := []struct {
+		name  string
+		procs int
+		want  float64 // 0: the lookup must miss
+	}{
+		{"BenchmarkShardedParallel/mixed", 1, 800},
+		{"BenchmarkShardedParallel/mixed", 8, 100},
+		{"BenchmarkShardedParallel/mixed", 4, 0},
+		{"BenchmarkShardedParallel/mixed", 0, 100},
+		{"BenchmarkBatchChurn/perOp", 0, 240},
+		{"BenchmarkBatchChurn/perOp", 1, 240},
+		{"BenchmarkBatchChurn/batch64", 0, 105},
+		{"BenchmarkBatchChurn/missing", 0, 0},
 	}
-	if ns, err := MinNsPerOp(results, "BenchmarkBatchChurn/batch64"); err != nil || ns != 105 {
-		t.Fatalf("MinNsPerOp single sample: %v %v", ns, err)
-	}
-	if _, err := MinNsPerOp(results, "BenchmarkBatchChurn/missing"); err == nil {
-		t.Fatal("missing benchmark found")
+	for _, c := range cases {
+		got, err := NsPerOp(results, c.name, c.procs)
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("NsPerOp(%q, %d) = %v, want a miss", c.name, c.procs, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("NsPerOp(%q, %d) = %v, %v, want %v", c.name, c.procs, got, err, c.want)
+		}
 	}
 }
 
 func TestCurrentManifest(t *testing.T) {
 	m := CurrentManifest()
-	if m.GoVersion == "" || m.GOOS == "" || m.GOARCH == "" || m.GOMAXPROCS < 1 {
+	if m.GoVersion == "" || m.GOOS == "" || m.GOARCH == "" || m.GOMAXPROCS < 1 || m.NumCPU < 1 {
 		t.Fatalf("incomplete manifest: %+v", m)
 	}
 }

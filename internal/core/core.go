@@ -87,11 +87,10 @@ var (
 type placeKind uint8
 
 const (
-	inLimbo    placeKind = iota // created but not yet physically placed
-	inPayload                   // a payload segment
-	inBuffer                    // a size-class buffer segment (or the tail buffer)
-	inOverflow                  // parked in the overflow segment mid-flush
-	inLog                       // inserted during an active flush, not yet drained
+	inLimbo   placeKind = iota // created but not yet physically placed
+	inPayload                  // a payload segment
+	inBuffer                   // a size-class buffer segment (or the tail buffer)
+	inLog                      // inserted during an active flush, not yet drained
 )
 
 // object is the engine's record of a live object. Its physical position

@@ -190,8 +190,6 @@ func (r *Reallocator) checkObject(id ID, ext addrspace.Extent, tag int32, quiesc
 		if ext.Start < r.log.base || ext.End() > r.log.end {
 			return fmt.Errorf("core: logged object %d at %v outside log [%d,%d)", id, ext, r.log.base, r.log.end)
 		}
-	case inOverflow:
-		return fmt.Errorf("core: object %d in overflow segment outside a flush (Invariant 2.3)", id)
 	default:
 		return fmt.Errorf("core: object %d in limbo", id)
 	}

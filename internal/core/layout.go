@@ -241,13 +241,3 @@ func (r *Reallocator) structEndCurrent() int64 {
 	}
 	return end
 }
-
-// extentOf returns the object's current extent; it panics on bookkeeping
-// desync (objects are always physically placed).
-func (r *Reallocator) extentOf(o *object) addrspace.Extent {
-	e, ok := r.space.Extent(o.id)
-	if !ok {
-		panic("core: object without physical placement")
-	}
-	return e
-}

@@ -30,37 +30,16 @@ import (
 type ID = addrspace.ID
 
 // Variant selects which of the PODS'14 paper's algorithms a core runs.
-// It is the one shared enum: the public realloc.Variant, the experiment
-// harness, and cmd/reallocbench all consume this type (internal/core
-// keeps a structurally identical private copy; TestVariantEnumDrift pins
-// the two together).
-type Variant int
+// It is the reference core's own enum, shared by the public
+// realloc.Variant, the experiment harness, and cmd/reallocbench.
+type Variant = core.Variant
 
-// Available variants.
+// Available variants; see core.Variant.
 const (
-	// Amortized is the Section 2 algorithm: atomic flushes, memmove-style
-	// moves, no checkpoint model.
-	Amortized Variant = iota
-	// Checkpointed is the Section 3.2 algorithm: strictly nonoverlapping
-	// moves under the checkpoint rule.
-	Checkpointed
-	// Deamortized is the Section 3.3 algorithm: Checkpointed plus a tail
-	// buffer and update log capping per-request reallocation.
-	Deamortized
+	Amortized    = core.Amortized
+	Checkpointed = core.Checkpointed
+	Deamortized  = core.Deamortized
 )
-
-func (v Variant) String() string {
-	switch v {
-	case Amortized:
-		return "amortized"
-	case Checkpointed:
-		return "checkpointed"
-	case Deamortized:
-		return "deamortized"
-	default:
-		return "unknown"
-	}
-}
 
 // ParseVariant resolves a variant name (as printed by Variant.String).
 func ParseVariant(s string) (Variant, error) {
@@ -177,9 +156,6 @@ type Config struct {
 	Variant Variant
 	// Epsilon is the footprint slack target in (0, 1].
 	Epsilon float64
-	// EpsPrime overrides the PODS'14 internal buffer fraction ε'; cores
-	// without a buffer fraction ignore it.
-	EpsPrime float64
 	// Recorder receives the event stream; nil means trace.Null.
 	Recorder trace.Recorder
 	// TrackCells enables per-cell data stamps in the substrate.
@@ -272,8 +248,7 @@ func New(cfg Config) (Engine, error) {
 	}
 	e, err := core.New(core.Config{
 		Epsilon:    cfg.Epsilon,
-		EpsPrime:   cfg.EpsPrime,
-		Variant:    core.Variant(cfg.Variant),
+		Variant:    cfg.Variant,
 		Recorder:   cfg.Recorder,
 		TrackCells: cfg.TrackCells,
 		Paranoid:   cfg.Paranoid,

@@ -3,35 +3,7 @@ package engine
 import (
 	"strings"
 	"testing"
-
-	"realloc/internal/core"
 )
-
-// TestVariantEnumDrift pins the shared engine.Variant enum to the
-// reference core's private copy, value by value and name by name: the
-// two types must stay structurally identical, because the factory casts
-// between them.
-func TestVariantEnumDrift(t *testing.T) {
-	pairs := []struct {
-		eng Variant
-		ref core.Variant
-	}{
-		{Amortized, core.Amortized},
-		{Checkpointed, core.Checkpointed},
-		{Deamortized, core.Deamortized},
-	}
-	for _, p := range pairs {
-		if int(p.eng) != int(p.ref) {
-			t.Errorf("variant value drift: engine.%v = %d, core.%v = %d", p.eng, int(p.eng), p.ref, int(p.ref))
-		}
-		if p.eng.String() != p.ref.String() {
-			t.Errorf("variant name drift: engine %q vs core %q", p.eng, p.ref)
-		}
-		if core.Variant(p.eng).String() != p.eng.String() {
-			t.Errorf("casting engine.%v to core.Variant changes its name", p.eng)
-		}
-	}
-}
 
 // TestParseRoundTrip: every enum value parses back from its String.
 func TestParseRoundTrip(t *testing.T) {

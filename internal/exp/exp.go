@@ -10,7 +10,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"realloc"
@@ -173,11 +172,9 @@ func RunAll(cfg Config, w io.Writer) error {
 }
 
 // newCore builds a reference-core reallocator wired to fresh metrics.
-// Variants are named by the shared engine enum; the cast to the core's
-// private copy is pinned by internal/engine's drift test.
 func newCore(variant engine.Variant, eps float64) (*core.Reallocator, *trace.Metrics, error) {
 	m := trace.NewMetrics()
-	r, err := core.New(core.Config{Epsilon: eps, Variant: core.Variant(variant), Recorder: m})
+	r, err := core.New(core.Config{Epsilon: eps, Variant: variant, Recorder: m})
 	return r, m, err
 }
 
@@ -196,22 +193,4 @@ func drive(r *core.Reallocator, s workload.Stream, n int) error {
 		return err
 	}
 	return r.Drain()
-}
-
-// driveEngine replays n churn ops into any engine and drains.
-func driveEngine(e engine.Engine, s workload.Stream, n int) error {
-	if _, err := workload.Drive(e, s, n); err != nil {
-		return err
-	}
-	return e.Drain()
-}
-
-// findingsKeys returns sorted keys (stable rendering helpers).
-func findingsKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

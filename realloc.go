@@ -85,7 +85,6 @@ type Option func(*config)
 
 type config struct {
 	epsilon   float64
-	epsPrime  float64
 	variant   Variant
 	core      Core
 	coreSet   bool
@@ -152,7 +151,6 @@ func (c *config) buildEngine(ec engine.Core, rec trace.Recorder, tel *telemetry.
 		Core:      ec,
 		Variant:   engine.Variant(c.variant),
 		Epsilon:   c.epsilon,
-		EpsPrime:  c.epsPrime,
 		Recorder:  rec,
 		Paranoid:  c.paranoid,
 		Telemetry: tel,
