@@ -71,35 +71,19 @@ func TestSplitProcs(t *testing.T) {
 	}
 }
 
-// TestNsPerOp covers the one ns/op lookup every gate uses: a -cpu sweep
-// resolved at exact proc counts (a missing count errors), the fastest
-// of a -count repeat run's samples, a single sample passing through, and
-// a missing name.
-func TestNsPerOp(t *testing.T) {
-	input := `BenchmarkShardedParallel/mixed       	  30000	       800.0 ns/op
-BenchmarkShardedParallel/mixed-8     	  30000	       100.0 ns/op
-BenchmarkBatchChurn/perOp    	 9000000	       250.0 ns/op
-BenchmarkBatchChurn/perOp    	 9000000	       240.0 ns/op
-BenchmarkBatchChurn/perOp    	 9000000	       260.0 ns/op
-BenchmarkBatchChurn/batch64  	25000000	       105.0 ns/op
-`
+// nsPerOpCase is one NsPerOp lookup and its expected ns/op; want 0 means
+// the lookup must miss.
+type nsPerOpCase struct {
+	name  string
+	procs int
+	want  float64
+}
+
+func checkNsPerOp(t *testing.T, input string, cases []nsPerOpCase) {
+	t.Helper()
 	results, err := ParseBench(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		procs int
-		want  float64 // 0: the lookup must miss
-	}{
-		{"BenchmarkShardedParallel/mixed", 1, 800},
-		{"BenchmarkShardedParallel/mixed", 8, 100},
-		{"BenchmarkShardedParallel/mixed", 4, 0},
-		{"BenchmarkShardedParallel/mixed", 0, 100},
-		{"BenchmarkBatchChurn/perOp", 0, 240},
-		{"BenchmarkBatchChurn/perOp", 1, 240},
-		{"BenchmarkBatchChurn/batch64", 0, 105},
-		{"BenchmarkBatchChurn/missing", 0, 0},
 	}
 	for _, c := range cases {
 		got, err := NsPerOp(results, c.name, c.procs)
@@ -113,6 +97,38 @@ BenchmarkBatchChurn/batch64  	25000000	       105.0 ns/op
 			t.Errorf("NsPerOp(%q, %d) = %v, %v, want %v", c.name, c.procs, got, err, c.want)
 		}
 	}
+}
+
+// TestNsPerOpAt covers the -cpu sweep lookup the scaling gate uses: the
+// same stripped name resolved at exact proc counts (a missing count
+// errors), and with no count given, the fastest across counts.
+func TestNsPerOpAt(t *testing.T) {
+	sweep := `BenchmarkShardedParallel/mixed       	  30000	       800.0 ns/op
+BenchmarkShardedParallel/mixed-8     	  30000	       100.0 ns/op
+`
+	checkNsPerOp(t, sweep, []nsPerOpCase{
+		{"BenchmarkShardedParallel/mixed", 1, 800},
+		{"BenchmarkShardedParallel/mixed", 8, 100},
+		{"BenchmarkShardedParallel/mixed", 4, 0},
+		{"BenchmarkShardedParallel/mixed", 0, 100},
+	})
+}
+
+// TestMinNsPerOp covers the -count repeat lookup the batch gate uses: the
+// fastest of a name's samples, with or without a proc count, a single
+// sample passing through, and a missing name.
+func TestMinNsPerOp(t *testing.T) {
+	repeats := `BenchmarkBatchChurn/perOp    	 9000000	       250.0 ns/op
+BenchmarkBatchChurn/perOp    	 9000000	       240.0 ns/op
+BenchmarkBatchChurn/perOp    	 9000000	       260.0 ns/op
+BenchmarkBatchChurn/batch64  	25000000	       105.0 ns/op
+`
+	checkNsPerOp(t, repeats, []nsPerOpCase{
+		{"BenchmarkBatchChurn/perOp", 0, 240},
+		{"BenchmarkBatchChurn/perOp", 1, 240},
+		{"BenchmarkBatchChurn/batch64", 0, 105},
+		{"BenchmarkBatchChurn/missing", 0, 0},
+	})
 }
 
 func TestCurrentManifest(t *testing.T) {
